@@ -20,13 +20,8 @@ import pytest
 
 from conftest import print_table
 
-from repro.adaptation import (
-    DeviceLivenessAnalyzer,
-    Executor,
-    MapeLoop,
-    RuleBasedPlanner,
-    ServiceHealthAnalyzer,
-)
+from repro.adaptation import DeviceLivenessAnalyzer, ServiceHealthAnalyzer
+from repro.components import host_loop
 from repro.core.system import IoTSystem
 from repro.devices.software import Service, ServiceState
 from repro.experiments import (
@@ -84,15 +79,8 @@ def test_mape_repairs_scale_with_fleet(benchmark):
     for edge, devices in sorted(system.sites.items()):
         for device_id in devices:
             system.fleet.get(device_id).host(Service(f"svc-{device_id}"))
-        loops.append(MapeLoop(
-            system.sim, system.network, system.fleet, edge, list(devices),
-            analyzers=[ServiceHealthAnalyzer(), DeviceLivenessAnalyzer()],
-            planner=RuleBasedPlanner(),
-            executor=Executor(system.sim, system.network, system.fleet, edge,
-                              system.rngs.stream(f"exec:{edge}"),
-                              trace=system.trace),
-            period=1.0, metrics=system.metrics, trace=system.trace,
-        ))
+        loops.append(host_loop(system, edge, list(devices), [
+            ServiceHealthAnalyzer(), DeviceLivenessAnalyzer()]))
     for loop in loops:
         loop.start()
     for index, (_, devices) in enumerate(sorted(system.sites.items())):

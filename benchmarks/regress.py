@@ -86,6 +86,33 @@ def tolerance_for(metric: str) -> Tuple[float, str]:
 _RUN_PROFILES: Dict[str, Dict[str, Any]] = {}
 
 
+def paired_min(reps: int, legs: Dict[Any, Callable[[], Tuple[float, Any]]]
+               ) -> Tuple[Dict[Any, float], Dict[Any, float],
+                          Dict[Any, List[Any]]]:
+    """Run ``legs`` back to back ``reps`` times; min walls and pair ratios.
+
+    Each leg returns ``(wall_s, payload)``.  Scheduler noise only ever
+    inflates a leg, so the min wall per leg, and the min over reps of
+    each leg's wall over the first leg's wall in the same rep, are the
+    closest observations of the intrinsic costs.  Returns ``(walls,
+    ratios, payloads)``; ``payloads`` lists every rep's payload per leg.
+    """
+    walls = {name: float("inf") for name in legs}
+    ratios = {name: float("inf") for name in legs}
+    payloads: Dict[Any, List[Any]] = {name: [] for name in legs}
+    base = next(iter(legs))
+    for _ in range(reps):
+        rep: Dict[Any, float] = {}
+        for name, leg in legs.items():
+            rep[name], payload = leg()
+            walls[name] = min(walls[name], rep[name])
+            payloads[name].append(payload)
+        if rep[base] > 0:
+            for name in legs:
+                ratios[name] = min(ratios[name], rep[name] / rep[base])
+    return walls, ratios, payloads
+
+
 def bench_smart_city(quick: bool) -> Dict[str, float]:
     """The observed smart-city disruption run and its resilience KPIs."""
     from repro.cli import _run_smart_city_partition
@@ -279,9 +306,7 @@ def bench_security(quick: bool) -> Dict[str, float]:
     active).  The signing/verify path is budgeted at <=15% overhead on
     the clean comparison (``overhead_budget_ok``) in both kernel
     events -- deterministic, auth adds zero events -- and wall time.
-    The wall estimate is the min over back-to-back (off, auth) pairs:
-    scheduler noise only ever *inflates* a leg, so the smallest pair
-    ratio is the closest observation of the intrinsic auth cost.  The
+    The wall estimate is the :func:`paired_min` (off, auth) ratio.  The
     0/1 gate is a gross-regression tripwire (e.g. an accidentally
     quadratic encoding), not a profiler.
     """
@@ -302,19 +327,15 @@ def bench_security(quick: bool) -> Dict[str, float]:
         prepared.system.run(until=horizon)
         return time.perf_counter() - started, prepared.system.sim.fired_count
 
-    attack_off_wall = auth_on_wall = attack_on_wall = float("inf")
-    best_ratio = float("inf")
-    for _ in range(reps):
-        off_wall, attack_off_events = one_run("clean")
-        auth_wall, auth_on_events = one_run("clean", authed=True)
-        on_wall, attack_on_events = one_run("defended")
-        attack_off_wall = min(attack_off_wall, off_wall)
-        auth_on_wall = min(auth_on_wall, auth_wall)
-        attack_on_wall = min(attack_on_wall, on_wall)
-        if off_wall > 0:
-            best_ratio = min(best_ratio, auth_wall / off_wall)
-
-    wall_overhead = max(0.0, best_ratio - 1.0)
+    walls, ratios, events = paired_min(reps, {
+        "off": lambda: one_run("clean"),
+        "auth": lambda: one_run("clean", authed=True),
+        "on": lambda: one_run("defended"),
+    })
+    attack_off_events = events["off"][-1]
+    auth_on_events = events["auth"][-1]
+    attack_on_events = events["on"][-1]
+    wall_overhead = max(0.0, ratios["auth"] - 1.0)
     event_overhead = max(0.0, (auth_on_events - attack_off_events)
                          / attack_off_events if attack_off_events else 0.0)
 
@@ -322,9 +343,9 @@ def bench_security(quick: bool) -> Dict[str, float]:
     raft = run_raft_equivocation("defended")
     flood = run_sybil_flood("defended")
     return {
-        "wall_s": attack_off_wall,
-        "auth_on.wall_s": auth_on_wall,
-        "attack_on.wall_s": attack_on_wall,
+        "wall_s": walls["off"],
+        "auth_on.wall_s": walls["auth"],
+        "attack_on.wall_s": walls["on"],
         "overhead_budget_ok": float(wall_overhead <= 0.15
                                     and event_overhead <= 0.15),
         "auth_event_overhead": round(event_overhead, 9),
@@ -349,10 +370,8 @@ def bench_observability(quick: bool) -> Dict[str, float]:
     back-to-back per rep:
     *bare* (no telemetry), *full* (every round's span and every event's
     sample recorded) and *sampled* (2%% head-based sampling, seeded).
-    Like bench_security, the wall estimate is the min over paired
-    (bare, sampled) reps -- scheduler noise only inflates a leg, so the
-    smallest ratio is the closest observation of the intrinsic recording
-    cost.  ``sampled_budget_ok`` trips when even the best rep's sampled
+    The wall estimate is the :func:`paired_min` (bare, sampled) ratio.
+    ``sampled_budget_ok`` trips when even the best rep's sampled
     run exceeds the 10%% overhead budget over bare: the tripwire for
     accidentally de-optimizing the sampled drop path.  Span/sample
     counts are deterministic (the sampler hashes (seed, root ordinal)),
@@ -409,28 +428,18 @@ def bench_observability(quick: bool) -> Dict[str, float]:
         if spans is not None and state[2] is not None:
             spans.finish(state[2], sim.now)
             add(float(round_events))
-        return wall, spans, metrics
+        return wall, (spans, metrics)
 
-    bare_wall = full_wall = sampled_wall = float("inf")
-    best_full_ratio = best_sampled_ratio = float("inf")
-    full_spans = sampled_spans = None
-    full_metrics = sampled_metrics = None
-    for _ in range(reps):
-        b_wall, _, _ = one_run("bare")
-        f_wall, full_spans, full_metrics = one_run("full")
-        s_wall, sampled_spans, sampled_metrics = one_run("sampled")
-        bare_wall = min(bare_wall, b_wall)
-        full_wall = min(full_wall, f_wall)
-        sampled_wall = min(sampled_wall, s_wall)
-        if b_wall > 0:
-            best_full_ratio = min(best_full_ratio, f_wall / b_wall)
-            best_sampled_ratio = min(best_sampled_ratio, s_wall / b_wall)
-
-    sampled_overhead = max(0.0, best_sampled_ratio - 1.0)
+    walls, ratios, runs = paired_min(
+        reps, {mode: (lambda mode=mode: one_run(mode))
+               for mode in ("bare", "full", "sampled")})
+    full_spans, full_metrics = runs["full"][-1]
+    sampled_spans, sampled_metrics = runs["sampled"][-1]
+    sampled_overhead = max(0.0, ratios["sampled"] - 1.0)
     return {
-        "wall_s": bare_wall,
-        "full.wall_s": full_wall,
-        "sampled.wall_s": sampled_wall,
+        "wall_s": walls["bare"],
+        "full.wall_s": walls["full"],
+        "sampled.wall_s": walls["sampled"],
         "sampled_budget_ok": float(sampled_overhead <= 0.10),
         "spans_full": float(len(full_spans)),
         "spans_sampled": float(len(sampled_spans)),
@@ -486,12 +495,11 @@ def bench_live(quick: bool) -> Dict[str, float]:
     Pairs a batch ``run_scenario`` with an unpaced (``speed=0``) live
     drive of the same journaled spec per rep; both drain the identical
     event stream, so the wall ratio isolates the real-time executor's
-    per-event machinery (peek, drain checks, housekeeping gate).  As in
-    bench_security/bench_observability the estimate is the min over
-    paired reps -- scheduler noise only inflates a leg -- and
-    ``paced_budget_ok`` trips when even the best rep exceeds the 10%%
-    overhead budget.  ``digest_identical`` is the determinism headline:
-    the live journal must stay byte-identical to the batch one.
+    per-event machinery (peek, drain checks, housekeeping gate).  The
+    estimate is the :func:`paired_min` ratio; ``paced_budget_ok`` trips
+    when even the best rep exceeds the 10%% overhead budget.
+    ``digest_identical`` is the determinism headline: the live journal
+    must stay byte-identical to the batch one.
     """
     import shutil
     import tempfile
@@ -503,44 +511,42 @@ def bench_live(quick: bool) -> Dict[str, float]:
     reps = 3 if quick else 5
     spec = ScenarioSpec(name="traffic-retry-storm")
     tmp = tempfile.mkdtemp(prefix="bench-live-")
-    batch_wall = live_wall = float("inf")
-    best_ratio = float("inf")
-    events = 0.0
-    identical = True
+    batch_journal = os.path.join(tmp, "batch.jsonl")
+
+    def batch() -> Tuple[float, float]:
+        started = time.perf_counter()
+        result = run_scenario(spec, journal_path=batch_journal, until=until)
+        wall = time.perf_counter() - started
+        return wall, float(result.system.sim.fired_count)
+
+    def live() -> Tuple[float, bool]:
+        # Runs right after this rep's batch leg, so it checks its journal
+        # against the one that leg just wrote.
+        out = tempfile.mkdtemp(prefix="live-", dir=tmp)
+        service = LiveService(spec, out, speed=0.0, port=None,
+                              checkpoint_every=3600.0, until=until)
+        service.start()
+        started = time.perf_counter()
+        service.run()
+        wall = time.perf_counter() - started
+        with open(batch_journal, "rb") as fh:
+            batch_bytes = fh.read()
+        with open(os.path.join(out, "journal.jsonl"), "rb") as fh:
+            return wall, fh.read() == batch_bytes
+
     try:
-        batch_journal = os.path.join(tmp, "batch.jsonl")
-        for rep in range(reps):
-            started = time.perf_counter()
-            result = run_scenario(spec, journal_path=batch_journal,
-                                  until=until)
-            b_wall = time.perf_counter() - started
-            events = float(result.system.sim.fired_count)
-
-            out = os.path.join(tmp, f"live-{rep}")
-            service = LiveService(spec, out, speed=0.0, port=None,
-                                  checkpoint_every=3600.0, until=until)
-            service.start()
-            started = time.perf_counter()
-            service.run()
-            l_wall = time.perf_counter() - started
-
-            batch_wall = min(batch_wall, b_wall)
-            live_wall = min(live_wall, l_wall)
-            if b_wall > 0:
-                best_ratio = min(best_ratio, l_wall / b_wall)
-            with open(batch_journal, "rb") as fh:
-                batch_bytes = fh.read()
-            with open(os.path.join(out, "journal.jsonl"), "rb") as fh:
-                identical = identical and fh.read() == batch_bytes
-
-        overhead = max(0.0, best_ratio - 1.0)
+        walls, ratios, runs = paired_min(reps, {"batch": batch,
+                                                "live": live})
+        events = runs["batch"][-1]
+        overhead = max(0.0, ratios["live"] - 1.0)
         return {
-            "wall_s": batch_wall,
-            "executor.wall_s": live_wall,
+            "wall_s": walls["batch"],
+            "executor.wall_s": walls["live"],
             "events": events,
-            "events_per_s": events / live_wall if live_wall > 0 else 0.0,
+            "events_per_s": (events / walls["live"] if walls["live"] > 0
+                             else 0.0),
             "paced_budget_ok": float(overhead <= 0.10),
-            "digest_identical": float(identical),
+            "digest_identical": float(all(runs["live"])),
         }
     finally:
         shutil.rmtree(tmp, ignore_errors=True)
@@ -551,8 +557,8 @@ def bench_shard(quick: bool) -> Dict[str, float]:
 
     Each rep runs the identical ``smart-city-federated`` spec unsharded
     (K=1) and partitioned across 2 and 4 shard processes; per-K wall is
-    the min over reps (noise only inflates a leg) and the speedups are
-    ratios of those mins.  ``digest_stable`` requires every rep of every
+    the :func:`paired_min` min over reps and the speedups are ratios of
+    those mins.  ``digest_stable`` requires every rep of every
     K to reproduce its federation digest bit-for-bit — the determinism
     headline for the parallel driver.  ``speedup_ok`` is the scaling
     tripwire: on runners with >= 4 cores the 4-shard run must beat the
@@ -571,19 +577,19 @@ def bench_shard(quick: bool) -> Dict[str, float]:
         "max_event_rate": 80.0 if quick else 250.0,
     }
     spec = ScenarioSpec(name="smart-city-federated", seed=47, params=params)
-    walls: Dict[int, float] = {1: float("inf"), 2: float("inf"),
-                               4: float("inf")}
-    events: Dict[int, float] = {}
-    digests: Dict[int, set] = {1: set(), 2: set(), 4: set()}
-    for _rep in range(reps):
-        for shards in (1, 2, 4):
-            result = ShardedSimulator(spec, shards=shards).run()
-            walls[shards] = min(walls[shards], result.wall_s)
-            events[shards] = float(result.events)
-            digests[shards].add(result.federation_digest)
+    def one_run(shards: int) -> Tuple[float, Tuple[float, str]]:
+        result = ShardedSimulator(spec, shards=shards).run()
+        return result.wall_s, (float(result.events),
+                               result.federation_digest)
+
+    walls, _ratios, runs = paired_min(
+        reps, {shards: (lambda shards=shards: one_run(shards))
+               for shards in (1, 2, 4)})
+    events = {shards: runs[shards][-1][0] for shards in runs}
     speedup_k2 = walls[1] / walls[2] if walls[2] > 0 else 0.0
     speedup_k4 = walls[1] / walls[4] if walls[4] > 0 else 0.0
-    stable = all(len(seen) == 1 for seen in digests.values())
+    stable = all(len({digest for _events, digest in seen}) == 1
+                 for seen in runs.values())
     cores = os.cpu_count() or 1
     metrics: Dict[str, float] = {
         "wall_s": walls[1],

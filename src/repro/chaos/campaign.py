@@ -35,6 +35,7 @@ from repro.chaos.spec import (
     TopologyAxis,
     TrafficAxis,
 )
+from repro.components import sybil_members
 from repro.persistence.scenarios import PreparedRun
 
 #: Post-heal grace before goodput is measured: breaker re-close plus
@@ -225,13 +226,9 @@ def _recovery_gate(spec: ChaosSpec,
 def _sybil_gate(prepared: PreparedRun) -> Optional[Dict[str, Any]]:
     """No fabricated identity may survive in any honest membership view."""
     members = prepared.aux.get("members")
-    attacker = prepared.aux.get("attacker")
     if not members:
         return None
-    sybils = sorted({m for edge, protocol in members.items()
-                     if edge != attacker
-                     for m in protocol.members()
-                     if m.startswith("sybil-")})
+    sybils = sybil_members(members, prepared.aux.get("attacker"))
     return {"ok": not sybils, "sybil_members": sybils,
             "sybil_count": len(sybils)}
 

@@ -1,7 +1,9 @@
 """Compile a :class:`~repro.chaos.spec.ChaosSpec` onto the plane builders.
 
 The compiler is the bridge between the declarative cross-product and the
-imperative wiring the per-plane scenarios do by hand: one
+component builders in :mod:`repro.components` -- the same builders the
+canonical traffic and security scenarios call, so a spec and the
+hand-written variant it describes wire identical parts.  One
 :meth:`ScenarioCompiler.compile` call builds the workload's landscape,
 attaches the traffic plane, schedules the fault and adversary timeline,
 applies the maturity level's defense stack and wires the SLO monitor --
@@ -29,27 +31,20 @@ streams.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List
 
+from repro import components
 from repro.chaos.spec import ChaosSpec
+from repro.components import EDGE_CAPACITY
 from repro.core.system import IoTSystem
 from repro.faults.models import (
     CrashRecoveryFault,
     Fault,
     LatencySpikeFault,
     LinkFailureFault,
-    NodeCompromiseFault,
     PartitionFault,
 )
 from repro.persistence.scenarios import PreparedRun
-
-#: Edge serving capacity mirrors the canonical traffic scenarios:
-#: 4 slots x 50 req/s = 200 req/s.
-EDGE_CONCURRENCY = 4
-EDGE_QUEUE = 64
-SERVICE_MEAN = 0.02
-CLIENT_TIMEOUT = 0.25
-EDGE_CAPACITY = EDGE_CONCURRENCY / SERVICE_MEAN
 
 #: SLO evaluation period (sim seconds) and goodput objective window.
 SLO_PERIOD = 2.0
@@ -128,159 +123,37 @@ class ScenarioCompiler:
         if spec.traffic.pattern == "none":
             aux["registry"] = None
             return
-        from repro.traffic.client import TrafficClient
-        from repro.traffic.loadgen import ClientCohort
-        from repro.traffic.patterns import (
-            CircuitBreaker,
-            RetryBudget,
-            RetryPolicy,
-        )
-        from repro.traffic.server import Server, ServiceModel
-        from repro.traffic.stats import TrafficRegistry
-
-        registry = TrafficRegistry(system)
-        edge = registry.add_server(Server(
-            system.sim, system.network, "edge0",
-            rng=system.rngs.stream("traffic:server:edge0"),
-            concurrency=EDGE_CONCURRENCY, queue_capacity=EDGE_QUEUE,
-            service=ServiceModel(mean=SERVICE_MEAN),
-            metrics=system.metrics, trace=system.trace,
-        ))
-        cloud = registry.add_server(Server(
-            system.sim, system.network, "cloud",
-            rng=system.rngs.stream("traffic:server:cloud"),
-            concurrency=32, queue_capacity=512,
-            service=ServiceModel(mean=SERVICE_MEAN),
-            metrics=system.metrics, trace=system.trace,
-        ))
-        retry: Optional[RetryPolicy] = None
-        if spec.traffic.pattern == "retry-storm":
-            # The aggressive policy that makes outages metastable when
-            # no budget bounds the amplification (ML < 3).
-            retry = RetryPolicy(max_attempts=4, base_delay=0.05,
-                                multiplier=2.0, max_delay=1.0, jitter=0.3)
-        budget: Optional[RetryBudget] = None
-        breaker: Optional[CircuitBreaker] = None
-        if spec.maturity >= 3 and retry is not None:
-            budget = RetryBudget(ratio=0.1, cap=50.0, initial=10.0)
-            breaker = CircuitBreaker(failure_threshold=5, recovery_time=1.0,
-                                     half_open_probes=1, success_threshold=3)
-        client = registry.add_client(TrafficClient(
-            system.sim, system.network, "cohort", "d0.0", "edge0",
-            rng=system.rngs.stream("traffic:client"),
-            timeout=CLIENT_TIMEOUT, retry=retry, budget=budget,
-            breaker=breaker, metrics=system.metrics, trace=system.trace,
-        ))
-        cohort = registry.add_generator(ClientCohort(
-            system.sim, client, users=spec.traffic.users,
-            rate_per_user=spec.traffic.rate_per_user,
-            rng=system.rngs.stream("traffic:arrivals"),
-            stop=spec.horizon,
-        ))
-        cohort.start()
+        registry, edge, cloud = components.serving(
+            system, admission=spec.maturity >= 2)
+        # Storm retries make outages metastable when no budget bounds
+        # the amplification (ML < 3).
+        client, cohort = components.user_cohort(
+            system, registry, spec.traffic.users, spec.traffic.rate_per_user,
+            stop=spec.horizon, retries=spec.traffic.pattern == "retry-storm",
+            guarded=spec.maturity >= 3)
         aux.update(registry=registry, edge=edge, cloud=cloud,
                    client=client, cohort=cohort)
 
     # -- membership mesh (the sybil attack's substrate) ---------------------- #
     def _wire_membership(self, spec: ChaosSpec, system: IoTSystem,
                          plane, aux: Dict[str, Any]) -> None:
-        if spec.adversary.attack == "none":
+        if plane is None:
             aux["members"] = None
             return
-        from repro.coordination.membership import MembershipProtocol
+        aux["members"] = components.membership_mesh(
+            system, plane, "chaos-swim", defended=spec.maturity >= 4)
 
-        defended = spec.maturity >= 4
-        edges = list(system.edge_nodes)
-        members: Dict[str, MembershipProtocol] = {}
-        for edge in edges:
-            update_filter = None
-            evidence = None
-            if defended:
-                def evidence(subject: str, kind: str, _obs=edge) -> None:
-                    plane.trust.record(_obs, subject, kind)
-
-                def update_filter(src: Optional[str], node: str, state: str,
-                                  incarnation: int, _obs=edge) -> bool:
-                    # Identity gate: only keyed (enrolled) nodes may join.
-                    if plane.keychain.known(node):
-                        return True
-                    if src is not None:
-                        plane.trust.record(_obs, src, "sybil-join",
-                                           detail=node)
-                    return False
-            protocol = MembershipProtocol(
-                system.sim, system.network, edge,
-                [e for e in edges if e != edge],
-                system.rngs.stream(f"chaos-swim:{edge}"),
-                probe_period=1.0,
-                update_filter=update_filter, evidence=evidence,
-                max_incarnation_jump=8 if defended else None,
-            )
-            members[edge] = protocol
-            plane.attach_membership(protocol)
-        for edge in edges:
-            members[edge].start()
-        aux["members"] = members
-
-    # -- maturity defenses --------------------------------------------------- #
+    # -- maturity defenses (ML2 admission is wired with the edge) ------------ #
     def _wire_defenses(self, spec: ChaosSpec, system: IoTSystem,
                        plane, aux: Dict[str, Any]) -> None:
         edge = aux.get("edge")
-        if spec.maturity >= 2 and edge is not None:
-            from repro.traffic.admission import QueueLengthAdmission
-
-            # 8 entries / 200 req/s = 40ms worst-case wait against the
-            # 250ms deadline.
-            edge.admission = QueueLengthAdmission(8)
         if spec.maturity >= 3 and edge is not None:
-            from repro.adaptation import (
-                BackpressureAnalyzer,
-                Executor,
-                MapeLoop,
-                RuleBasedPlanner,
-            )
-
-            loop = MapeLoop(
-                system.sim, system.network, system.fleet, "edge0", ["d0.0"],
-                analyzers=[BackpressureAnalyzer()],
-                planner=RuleBasedPlanner(),
-                executor=Executor(system.sim, system.network, system.fleet,
-                                  "edge0", system.rngs.stream("exec:edge0"),
-                                  trace=system.trace),
-                period=1.0, metrics=system.metrics, trace=system.trace,
-            )
-            loop.knowledge.facts["offload_target"] = "cloud"
-            edge.attach_backpressure(loop.knowledge)
-            loop.start()
-            aux["backpressure_loop"] = loop
+            aux["backpressure_loop"] = components.backpressure_loop(
+                system, edge)
         if spec.maturity >= 4 and plane is not None:
-            from repro.adaptation import (
-                Executor,
-                IntrusionAnalyzer,
-                MapeLoop,
-                RuleBasedPlanner,
-            )
-            from repro.security.trust import FloodSentry
-
-            edges = list(system.edge_nodes)
-            plane.enable_auth(edges + ["d0.0"], protected_kinds=("swim.",))
-            sentry = FloodSentry(system, plane.trust, observer="edge0",
-                                 period=0.5, rate_threshold=300.0,
-                                 exempt=["edge0"])
-            sentry.start()
-            loop = MapeLoop(
-                system.sim, system.network, system.fleet, "edge0", edges,
-                analyzers=[IntrusionAnalyzer()],
-                planner=RuleBasedPlanner(),
-                executor=Executor(system.sim, system.network, system.fleet,
-                                  "edge0", system.rngs.stream("exec:edge0"),
-                                  trace=system.trace),
-                period=0.5, metrics=system.metrics, trace=system.trace,
-            )
-            plane.trust.attach(loop.knowledge)
-            loop.start()
-            aux["sentry"] = sentry
-            aux["intrusion_loop"] = loop
+            components.authenticate_mesh(system, plane)
+            aux["sentry"], aux["intrusion_loop"] = components.flood_response(
+                system, plane)
 
     # -- fault schedule ------------------------------------------------------ #
     def _schedule_faults(self, spec: ChaosSpec, system: IoTSystem) -> None:
@@ -333,9 +206,7 @@ class ScenarioCompiler:
             edges = list(system.edge_nodes)
             targets = [e for e in edges if e != attacker][:2]
             behaviors.append(SybilJoinBehavior(targets=targets))
-        system.injector.inject_at(spec.adversary.at, NodeCompromiseFault(
-            name=f"compromise:{attacker}", device_id=attacker,
-            behaviors=behaviors))
+        components.compromise(system, attacker, spec.adversary.at, behaviors)
         aux["attacker"] = attacker
 
     # -- SLO monitor --------------------------------------------------------- #

@@ -70,6 +70,8 @@ import os
 import signal
 from typing import Callable, Dict, List, Optional, Tuple
 
+from repro.scenarios import VariantGate, variant_gates
+
 # When --json is active, tables accumulate here instead of printing.
 _JSON_COLLECTOR: Optional[List[Dict[str, object]]] = None
 
@@ -742,265 +744,60 @@ def cmd_replay(quick: bool, out: str = "checkpoint-out",
 
 
 # --------------------------------------------------------------------------- #
-# traffic: serving under overload and retry storms
+# traffic / security: variant gates (records beside their scenarios)
 # --------------------------------------------------------------------------- #
-TRAFFIC_SCENARIOS = ("overload", "retry-storm")
+GATE_PLANES = ("traffic", "security")
 
 
-def _emit_gate_incident(spec_name: str, params: Dict[str, object],
-                        out: str, gate: str,
-                        detail: Dict[str, object]) -> Optional[str]:
-    """Capture an incident bundle for a failed gate; never masks the failure.
+def _plane_gates(plane: str) -> Dict[str, VariantGate]:
+    """The plane's variant gates by CLI scenario name, in gate order."""
+    return {gate.name: gate for gate in variant_gates().values()
+            if gate.plane == plane}
 
-    Re-runs the failing variant's registered scenario spec under a flight
-    recorder (journaled, checkpointed at the horizon) so the bundle is
-    self-contained and replayable even though the gate itself aggregates
+
+def cmd_gate(gate: VariantGate, quick: bool, out: str = "trace-out") -> int:
+    """Run every variant of a gated scenario, print them, judge the gate.
+
+    The verdict lives beside the scenario (``GATES`` in
+    :mod:`repro.traffic.scenarios` and :mod:`repro.security.scenarios`).
+    A failing gate exits 1 and captures an incident bundle: the judged
+    variant's registered scenario spec re-run under a flight recorder
+    (journaled, checkpointed at the horizon), so the bundle is
+    self-contained and replayable even though the gate aggregates
     several variant runs.
     """
+    horizon = gate.horizons[0] if quick else gate.horizons[1]
+    results = {}
+    for variant in gate.variants:
+        _progress(f"running {gate.name} variant {variant!r}...")
+        results[variant] = gate.run(variant, horizon=horizon)
+    _print_table(
+        gate.title.format(horizon=horizon), list(gate.headers),
+        [[round(cell, 4) if isinstance(cell, float) else cell
+          for cell in gate.row(result)] for result in results.values()])
+    _print_data(f"{gate.plane}: {gate.name}",
+                {"results": list(results.values())})
+    failures, ok = gate.verdict(results)
+    label = f"{gate.plane.upper()} GATE"
+    if not failures:
+        _progress(f"\n{label}: OK ({ok})")
+        return 0
+    _progress(f"\n{label}: FAIL (" + "; ".join(failures) + ")")
     from repro.observability.flight import capture_gate_incident
     from repro.persistence import ScenarioSpec
 
-    directory = os.path.join(out, "incidents", spec_name)
+    params = {"variant": gate.judged, "horizon": horizon}
     try:
         bundle = capture_gate_incident(
-            ScenarioSpec(name=spec_name, params=dict(params)), directory,
-            reason="gate-failure", detail={"gate": gate, **detail})
+            ScenarioSpec(name=gate.scenario, params=params),
+            os.path.join(out, "incidents", gate.scenario),
+            reason="gate-failure",
+            detail={"gate": gate.scenario, "failures": failures})
     except Exception as exc:  # noqa: BLE001 - the gate verdict stands
         _progress(f"(incident capture failed: {exc})")
-        return None
-    _progress(f"incident bundle: {bundle}")
-    return bundle
-
-
-def cmd_traffic(quick: bool, scenario: str = "overload",
-                out: str = "trace-out") -> int:
-    """Run every variant of a traffic scenario; gate on the resilient one.
-
-    ``overload`` fails if admission control cannot hold goodput at >=80%
-    of capacity; ``retry-storm`` fails if the budget+breaker variant does
-    not recover >=90% of offered goodput after the outage heals.
-    """
-    from repro.traffic.scenarios import (
-        OVERLOAD_HORIZON,
-        OVERLOAD_VARIANTS,
-        RETRY_STORM_HORIZON,
-        RETRY_STORM_VARIANTS,
-        run_overload,
-        run_retry_storm,
-    )
-
-    def _round(value: object) -> object:
-        return round(value, 4) if isinstance(value, float) else value
-
-    if scenario == "overload":
-        horizon = 15.0 if quick else OVERLOAD_HORIZON
-        results = []
-        for variant in OVERLOAD_VARIANTS:
-            _progress(f"running overload variant {variant!r}...")
-            results.append(run_overload(variant, horizon=horizon))
-        _print_table(
-            f"traffic: overload at 1.6x capacity (horizon {horizon:g}s)",
-            ["variant", "offered/s", "capacity/s", "goodput/s", "success",
-             "p99 (s)", "rejected", "timed out"],
-            [[r["variant"], _round(r["offered_rate"]), _round(r["capacity"]),
-              _round(r["goodput"]), _round(r["success_ratio"]),
-              _round(r["p99_latency"]), r["rejected"], r["timed_out"]]
-             for r in results])
-        _print_data("traffic: overload", {"results": results})
-        held = next(r for r in results if r["variant"] == "admission")
-        if held["goodput_vs_capacity"] < 0.8:
-            _progress(f"\nTRAFFIC GATE: FAIL (admission goodput at "
-                      f"{held['goodput_vs_capacity']:.0%} of capacity)")
-            _emit_gate_incident(
-                "traffic-overload",
-                {"variant": "admission", "horizon": horizon},
-                out, gate="traffic-overload",
-                detail={"goodput_vs_capacity": held["goodput_vs_capacity"]})
-            return 1
-        _progress(f"\nTRAFFIC GATE: OK (admission control holds goodput at "
-                  f"{held['goodput_vs_capacity']:.0%} of capacity)")
-        return 0
-
-    horizon = 35.0 if quick else RETRY_STORM_HORIZON
-    results = []
-    for variant in RETRY_STORM_VARIANTS:
-        _progress(f"running retry-storm variant {variant!r}...")
-        results.append(run_retry_storm(variant, horizon=horizon))
-    _print_table(
-        f"traffic: retry storm across an 8s edge crash (horizon {horizon:g}s)",
-        ["variant", "offered/s", "recovered/s", "recovery", "retries",
-         "short-circuited", "breaker trips"],
-        [[r["variant"], _round(r["offered_rate"]),
-          _round(r["recovered_goodput"]), _round(r["recovery_ratio"]),
-          r["retries"], r["short_circuited"],
-          r.get("breaker", {}).get("trips", "-")]
-         for r in results])
-    _print_data("traffic: retry-storm", {"results": results})
-    resilient = next(r for r in results if r["variant"] == "resilient")
-    if resilient["recovery_ratio"] < 0.9:
-        _progress(f"\nTRAFFIC GATE: FAIL (post-heal goodput recovered only "
-                  f"{resilient['recovery_ratio']:.0%} of offered)")
-        _emit_gate_incident(
-            "traffic-retry-storm",
-            {"variant": "resilient", "horizon": horizon},
-            out, gate="traffic-retry-storm",
-            detail={"recovery_ratio": resilient["recovery_ratio"]})
-        return 1
-    _progress(f"\nTRAFFIC GATE: OK (budget+breaker recover "
-              f"{resilient['recovery_ratio']:.0%} of offered goodput)")
-    return 0
-
-
-# --------------------------------------------------------------------------- #
-# security: resilience against an active adversary
-# --------------------------------------------------------------------------- #
-SECURITY_SCENARIOS = ("byzantine-gossip", "sybil-flood", "raft-equivocation")
-
-
-def cmd_security(quick: bool, scenario: str = "byzantine-gossip",
-                 out: str = "trace-out") -> int:
-    """Run every variant of a security scenario; gate naive-fails/defended-holds.
-
-    ``byzantine-gossip`` fails unless the naive mesh never converges while
-    the defended mesh converges within 2x the clean run and quarantines
-    the equivocator.  ``sybil-flood`` fails unless the naive run collapses
-    below 50% of clean goodput while the defended run holds >=90% with
-    zero sybil members.  ``raft-equivocation`` fails unless the naive run
-    elects two leaders in one term while the defended run keeps exactly
-    one safe leader.
-    """
-    from repro.security.scenarios import (
-        BYZANTINE_GOSSIP_HORIZON,
-        BYZANTINE_GOSSIP_VARIANTS,
-        RAFT_EQUIVOCATION_VARIANTS,
-        SYBIL_FLOOD_VARIANTS,
-        run_byzantine_gossip,
-        run_raft_equivocation,
-        run_sybil_flood,
-    )
-
-    def _round(value: object) -> object:
-        return round(value, 4) if isinstance(value, float) else value
-
-    if scenario == "byzantine-gossip":
-        horizon = 12.0 if quick else BYZANTINE_GOSSIP_HORIZON
-        results = []
-        for variant in BYZANTINE_GOSSIP_VARIANTS:
-            _progress(f"running byzantine-gossip variant {variant!r}...")
-            results.append(run_byzantine_gossip(variant, horizon=horizon))
-        _print_table(
-            f"security: byzantine gossip (horizon {horizon:g}s)",
-            ["variant", "converged", "converged at (s)", "honest values",
-             "quarantined", "auth drops"],
-            [[r["variant"], r["converged"], _round(r["converged_at"]),
-              len(r["honest_values"]), ",".join(r["quarantined"]) or "-",
-              r["security"]["dropped_auth"]] for r in results])
-        _print_data("security: byzantine-gossip", {"results": results})
-        by = {r["variant"]: r for r in results}
-        clean, naive, defended = (by[v] for v in BYZANTINE_GOSSIP_VARIANTS)
-        failures = []
-        if naive["converged"]:
-            failures.append("naive mesh converged despite the equivocator")
-        if not defended["converged"]:
-            failures.append("defended mesh never converged")
-        elif defended["converged_at"] > 2.0 * clean["converged_at"]:
-            failures.append(
-                f"defended convergence {defended['converged_at']:.1f}s "
-                f"exceeds 2x clean ({clean['converged_at']:.1f}s)")
-        if naive["attacker"] not in defended["quarantined"]:
-            failures.append("defended run did not quarantine the attacker")
-        if failures:
-            _progress("\nSECURITY GATE: FAIL (" + "; ".join(failures) + ")")
-            _emit_gate_incident(
-                "security-byzantine-gossip",
-                {"variant": "defended", "horizon": horizon},
-                out, gate="security-byzantine-gossip",
-                detail={"failures": failures})
-            return 1
-        _progress(f"\nSECURITY GATE: OK (defended converges at "
-                  f"{defended['converged_at']:.1f}s vs clean "
-                  f"{clean['converged_at']:.1f}s; naive never converges)")
-        return 0
-
-    if scenario == "sybil-flood":
-        results = []
-        for variant in SYBIL_FLOOD_VARIANTS:
-            _progress(f"running sybil-flood variant {variant!r}...")
-            results.append(run_sybil_flood(variant))
-        _print_table(
-            "security: sybil flood against an edge server",
-            ["variant", "offered/s", "goodput/s", "success", "sybils",
-             "attacker msgs", "quarantined"],
-            [[r["variant"], _round(r["offered_rate"]), _round(r["goodput"]),
-              _round(r["success_ratio"]), r["sybil_count"],
-              r["attacker_messages"], ",".join(r["quarantined"]) or "-"]
-             for r in results])
-        _print_data("security: sybil-flood", {"results": results})
-        by = {r["variant"]: r for r in results}
-        clean, naive, defended = (by[v] for v in SYBIL_FLOOD_VARIANTS)
-        failures = []
-        if naive["goodput"] >= 0.5 * clean["goodput"]:
-            failures.append("naive run did not collapse under the flood")
-        if defended["goodput"] < 0.9 * clean["goodput"]:
-            failures.append(
-                f"defended goodput {defended['goodput']:.1f}/s is below "
-                f"90% of clean ({clean['goodput']:.1f}/s)")
-        if defended["sybil_count"]:
-            failures.append(
-                f"defended membership admitted {defended['sybil_count']} "
-                "sybil identities")
-        if not naive["sybil_count"]:
-            failures.append("naive membership rejected the sybils "
-                            "(attack had no teeth)")
-        if failures:
-            _progress("\nSECURITY GATE: FAIL (" + "; ".join(failures) + ")")
-            _emit_gate_incident(
-                "security-sybil-flood", {"variant": "defended"},
-                out, gate="security-sybil-flood",
-                detail={"failures": failures})
-            return 1
-        _progress(f"\nSECURITY GATE: OK (defended holds "
-                  f"{defended['goodput'] / clean['goodput']:.0%} of clean "
-                  f"goodput; naive collapses to "
-                  f"{naive['goodput'] / clean['goodput']:.0%})")
-        return 0
-
-    results = []
-    for variant in RAFT_EQUIVOCATION_VARIANTS:
-        _progress(f"running raft-equivocation variant {variant!r}...")
-        results.append(run_raft_equivocation(variant))
-    _print_table(
-        "security: raft equivocation with f=2 of n=5 compromised",
-        ["variant", "elections won", "double-win terms", "safety",
-         "final leaders", "quarantined"],
-        [[r["variant"], r["elections_won"],
-          ",".join(str(t) for t in r["double_wins"]) or "-",
-          "VIOLATED" if r["safety_violated"] else "safe",
-          ",".join(r["final_leaders"]) or "-",
-          ",".join(r["quarantined"]) or "-"] for r in results])
-    _print_data("security: raft-equivocation", {"results": results})
-    by = {r["variant"]: r for r in results}
-    naive, defended = (by[v] for v in RAFT_EQUIVOCATION_VARIANTS)
-    failures = []
-    if not naive["safety_violated"]:
-        failures.append("naive run never double-elected "
-                        "(attack had no teeth)")
-    if defended["safety_violated"]:
-        failures.append("defended run elected two leaders in one term")
-    if not defended["leader_elected"]:
-        failures.append("defended run never elected a leader")
-    if failures:
-        _progress("\nSECURITY GATE: FAIL (" + "; ".join(failures) + ")")
-        _emit_gate_incident(
-            "security-raft-equivocation", {"variant": "defended"},
-            out, gate="security-raft-equivocation",
-            detail={"failures": failures})
-        return 1
-    _progress(f"\nSECURITY GATE: OK (naive double-elects in "
-              f"{len(naive['double_wins'])} term(s); defended keeps one "
-              f"safe leader and quarantines "
-              f"{','.join(defended['quarantined'])})")
-    return 0
+    else:
+        _progress(f"incident bundle: {bundle}")
+    return 1
 
 
 # --------------------------------------------------------------------------- #
@@ -1033,12 +830,11 @@ def cmd_profile_run(quick: bool, scenario: str = "smart-city-partition",
     from repro.persistence import ScenarioSpec, prepare
 
     params: Dict[str, object] = {}
+    gate = variant_gates().get(scenario)
     if scenario == "smart-city-partition":
         params["quick"] = quick
-    elif quick and scenario == "traffic-overload":
-        params["horizon"] = 15.0
-    elif quick and scenario == "traffic-retry-storm":
-        params["horizon"] = 35.0
+    elif quick and gate is not None:
+        params["horizon"] = gate.horizons[0]
     spec = ScenarioSpec(name=scenario, seed=seed, params=params)
     _progress(f"profiling scenario {scenario!r}...")
     prepared = prepare(spec)
@@ -1573,8 +1369,8 @@ def main(argv: List[str] = None) -> int:
     parser.add_argument("scenario", nargs="?",
                         choices=sorted(set(TRACE_SCENARIOS)
                                        | set(persistence_scenarios)
-                                       | set(TRAFFIC_SCENARIOS)
-                                       | set(SECURITY_SCENARIOS)
+                                       | {gate.name for gate
+                                          in variant_gates().values()}
                                        | set(INCIDENT_VERBS)
                                        | set(PROFILE_VERBS)
                                        | set(CHAOS_VERBS)
@@ -1659,18 +1455,13 @@ def main(argv: List[str] = None) -> int:
             parser.error(f"scenario {args.scenario!r} is not available for "
                          "'checkpoint' (choose from "
                          f"{persistence_scenarios})")
-    elif args.command == "traffic":
+    elif args.command in GATE_PLANES:
+        gates = _plane_gates(args.command)
         if args.scenario is None:
-            args.scenario = "overload"
-        elif args.scenario not in TRAFFIC_SCENARIOS:
+            args.scenario = next(iter(gates))
+        elif args.scenario not in gates:
             parser.error(f"scenario {args.scenario!r} is not available for "
-                         f"'traffic' (choose from {TRAFFIC_SCENARIOS})")
-    elif args.command == "security":
-        if args.scenario is None:
-            args.scenario = "byzantine-gossip"
-        elif args.scenario not in SECURITY_SCENARIOS:
-            parser.error(f"scenario {args.scenario!r} is not available for "
-                         f"'security' (choose from {SECURITY_SCENARIOS})")
+                         f"{args.command!r} (choose from {tuple(gates)})")
     elif args.command == "incident":
         if args.scenario not in INCIDENT_VERBS:
             parser.error("incident needs a verb: "
@@ -1752,12 +1543,9 @@ def main(argv: List[str] = None) -> int:
             exit_code = cmd_resume(args.quick, out=args.out, until=args.until)
         elif args.command == "replay":
             exit_code = cmd_replay(args.quick, out=args.out, until=args.until)
-        elif args.command == "traffic":
-            exit_code = cmd_traffic(args.quick, scenario=args.scenario,
-                                    out=args.out)
-        elif args.command == "security":
-            exit_code = cmd_security(args.quick, scenario=args.scenario,
-                                     out=args.out)
+        elif args.command in GATE_PLANES:
+            exit_code = cmd_gate(_plane_gates(args.command)[args.scenario],
+                                 args.quick, out=args.out)
         elif args.command == "incident":
             exit_code = (cmd_incident_show(args.path)
                          if args.scenario == "show"

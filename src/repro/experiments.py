@@ -11,12 +11,11 @@ from typing import List, Tuple
 
 from repro.adaptation import (
     DeviceLivenessAnalyzer,
-    Executor,
     MapeLoop,
-    RuleBasedPlanner,
     ServiceHealthAnalyzer,
     StaleKnowledgeAnalyzer,
 )
+from repro.components import host_loop
 from repro.core.system import IoTSystem
 from repro.devices.software import Service
 from repro.faults.models import PartitionFault, ServiceFailureFault
@@ -33,16 +32,8 @@ FIG3_STALENESS = 3.0
 
 def _make_loop(system: IoTSystem, host: str, scope: List[str],
                extra_analyzers: Tuple = ()) -> MapeLoop:
-    return MapeLoop(
-        system.sim, system.network, system.fleet, host, scope,
-        analyzers=[ServiceHealthAnalyzer(), DeviceLivenessAnalyzer(),
-                   *extra_analyzers],
-        planner=RuleBasedPlanner(),
-        executor=Executor(system.sim, system.network, system.fleet, host,
-                          system.rngs.stream(f"exec:{host}"),
-                          trace=system.trace),
-        period=1.0, metrics=system.metrics, trace=system.trace,
-    )
+    return host_loop(system, host, scope, [
+        ServiceHealthAnalyzer(), DeviceLivenessAnalyzer(), *extra_analyzers])
 
 
 def prepare_control_architecture(architecture: str, seed: int = 11

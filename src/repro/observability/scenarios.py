@@ -88,12 +88,10 @@ def prepare_smart_city_partition(seed: Optional[int] = None,
     """
     from repro.adaptation import (
         DeviceLivenessAnalyzer,
-        Executor,
-        MapeLoop,
-        RuleBasedPlanner,
         ServiceHealthAnalyzer,
         SloAlertAnalyzer,
     )
+    from repro.components import host_loop
     from repro.faults.models import PartitionFault, ServiceFailureFault
     from repro.workloads.smart_city import SmartCityWorkload
 
@@ -107,16 +105,9 @@ def prepare_smart_city_partition(seed: Optional[int] = None,
     for district in range(districts):
         edge = f"edge{district}"
         scope = [edge] + list(system.sites[edge])
-        loop = MapeLoop(
-            system.sim, system.network, system.fleet, edge, scope,
-            analyzers=[ServiceHealthAnalyzer(), DeviceLivenessAnalyzer(),
-                       SloAlertAnalyzer()],
-            planner=RuleBasedPlanner(),
-            executor=Executor(system.sim, system.network, system.fleet, edge,
-                              system.rngs.stream(f"exec:{edge}"),
-                              trace=system.trace),
-            period=1.0, metrics=system.metrics, trace=system.trace,
-        )
+        loop = host_loop(system, edge, scope, [
+            ServiceHealthAnalyzer(), DeviceLivenessAnalyzer(),
+            SloAlertAnalyzer()])
         loop.start()
         loops.append(loop)
     system.injector.inject_at(10.0, ServiceFailureFault(

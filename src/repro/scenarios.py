@@ -16,7 +16,7 @@ interchangeable everywhere a scenario name is accepted.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.persistence.scenarios import (
     PreparedRun,
@@ -33,11 +33,14 @@ __all__ = [
     "ScenarioInfo",
     "ScenarioSpec",
     "UnknownScenarioError",
+    "VariantGate",
     "catalog",
     "describe_scenario",
     "prepare",
     "register_scenario",
+    "require_variant",
     "scenario_names",
+    "variant_gates",
 ]
 
 #: Owning plane by exact name; prefixes cover the rest.
@@ -60,28 +63,57 @@ def _plane_of(name: str) -> str:
     return "core"
 
 
+@dataclass(frozen=True)
+class VariantGate:
+    """A CI gate judged over every variant of one registered scenario.
+
+    ``python -m repro <plane> <name>`` runs each variant at the quick or
+    full horizon, prints one table row per result, and exits 1 with an
+    incident bundle of the ``judged`` variant when ``verdict`` -- given
+    the results by variant -- returns failure messages; otherwise it
+    prints the returned OK message.
+    """
+
+    scenario: str                     # registered name: "<plane>-<name>"
+    variants: Tuple[str, ...]
+    judged: str                       # the variant an incident re-runs
+    horizons: Tuple[float, float]     # (quick, full)
+    run: Callable[..., Dict[str, Any]]
+    title: str                        # may use {horizon}
+    headers: Tuple[str, ...]
+    row: Callable[[Dict[str, Any]], List[Any]]
+    verdict: Callable[[Dict[str, Dict[str, Any]]], Tuple[List[str], str]]
+
+    @property
+    def plane(self) -> str:
+        return self.scenario.split("-", 1)[0]
+
+    @property
+    def name(self) -> str:
+        return self.scenario.split("-", 1)[1]
+
+
+def require_variant(scenario: str, variant: str,
+                    variants: Tuple[str, ...]) -> None:
+    """Reject a ``variant`` param the scenario does not define."""
+    if variant not in variants:
+        raise ValueError(f"unknown {scenario} variant {variant!r}; "
+                         f"expected one of {variants}")
+
+
+def variant_gates() -> Dict[str, VariantGate]:
+    """Every variant gate, keyed by registered scenario name."""
+    from repro.security.scenarios import GATES as SECURITY_GATES
+    from repro.traffic.scenarios import GATES as TRAFFIC_GATES
+
+    return {gate.scenario: gate for gate in TRAFFIC_GATES + SECURITY_GATES}
+
+
 def _variants_of(name: str) -> Tuple[str, ...]:
     """The ``variant`` param values a scenario accepts (empty if none)."""
-    if name == "traffic-overload":
-        from repro.traffic.scenarios import OVERLOAD_VARIANTS
-
-        return tuple(OVERLOAD_VARIANTS)
-    if name == "traffic-retry-storm":
-        from repro.traffic.scenarios import RETRY_STORM_VARIANTS
-
-        return tuple(RETRY_STORM_VARIANTS)
-    if name == "security-byzantine-gossip":
-        from repro.security.scenarios import BYZANTINE_GOSSIP_VARIANTS
-
-        return tuple(BYZANTINE_GOSSIP_VARIANTS)
-    if name == "security-raft-equivocation":
-        from repro.security.scenarios import RAFT_EQUIVOCATION_VARIANTS
-
-        return tuple(RAFT_EQUIVOCATION_VARIANTS)
-    if name == "security-sybil-flood":
-        from repro.security.scenarios import SYBIL_FLOOD_VARIANTS
-
-        return tuple(SYBIL_FLOOD_VARIANTS)
+    gate = variant_gates().get(name)
+    if gate is not None:
+        return gate.variants
     if name == "control-outage":
         return ("centralized", "decentralized")
     if name == "mape-outage":

@@ -44,20 +44,15 @@ registered for checkpoint/resume/replay like any other scenario.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional
+from functools import partial
+from typing import Any, Dict, List, Optional, Tuple
 
-from repro.adaptation import (
-    Executor,
-    IntrusionAnalyzer,
-    MapeLoop,
-    RuleBasedPlanner,
-)
+from repro import components
 from repro.coordination.gossip import GossipNode
-from repro.coordination.membership import MembershipProtocol
 from repro.coordination.raft import RaftNode
 from repro.core.system import IoTSystem
-from repro.faults.models import NodeCompromiseFault
 from repro.persistence.scenarios import PreparedRun
+from repro.scenarios import VariantGate, require_variant
 from repro.security.adversary import (
     FloodBehavior,
     GossipEquivocateBehavior,
@@ -65,12 +60,8 @@ from repro.security.adversary import (
     VoteEquivocateBehavior,
 )
 from repro.security.plane import SecurityPlane
-from repro.security.trust import FloodSentry
-from repro.traffic.admission import QueueLengthAdmission
-from repro.traffic.client import COMPLETIONS_SERIES, TrafficClient
-from repro.traffic.loadgen import ClientCohort
-from repro.traffic.server import Server, ServiceModel
-from repro.traffic.stats import TrafficRegistry, windowed_rate
+from repro.traffic.client import COMPLETIONS_SERIES
+from repro.traffic.stats import windowed_rate
 
 BYZANTINE_GOSSIP_HORIZON = 24.0
 BYZANTINE_GOSSIP_VARIANTS = ("clean", "naive", "defended")
@@ -96,43 +87,21 @@ AGREEMENT_SERIES = "security.gossip.agreement"
 _AGREEMENT_PERIOD = 0.5
 
 
-def _security_mape(system: Any, plane: SecurityPlane, host: str,
-                   scope: List[str], period: float = 1.0) -> MapeLoop:
-    """The intrusion-response loop: trust facts in, quarantine out."""
-    loop = MapeLoop(
-        system.sim, system.network, system.fleet, host, scope,
-        analyzers=[IntrusionAnalyzer()],
-        planner=RuleBasedPlanner(),
-        executor=Executor(system.sim, system.network, system.fleet, host,
-                          system.rngs.stream(f"exec:{host}"),
-                          trace=system.trace),
-        period=period, metrics=system.metrics, trace=system.trace,
-    )
-    plane.trust.attach(loop.knowledge)
-    loop.start()
-    return loop
-
-
 # --------------------------------------------------------------------------- #
 # byzantine-gossip
 # --------------------------------------------------------------------------- #
 def prepare_byzantine_gossip(seed: int = 37, variant: str = "defended",
                              horizon: float = BYZANTINE_GOSSIP_HORIZON,
-                             attack: bool = True,
                              authed: bool = False) -> PreparedRun:
     """Wire (but do not run) one byzantine-gossip variant.
 
     Five edge sites gossip ``cfg`` (written once by edge0); ``edge4``
     equivocates on it from t=1 in the naive and defended variants.
-    Two bench-oriented knobs isolate costs: ``attack=False`` keeps the
-    variant's full wiring but skips the compromise (the peacetime cost
-    of the whole defense), and ``authed=True`` adds just the
-    signer/verifier pair to a non-defended variant (the price of the
-    interceptor+auth path alone, without trust hooks or the MAPE loop).
+    ``authed=True`` adds just the signer/verifier pair to a non-defended
+    variant: the bench's price of the interceptor+auth path alone,
+    without trust hooks or the MAPE loop.
     """
-    if variant not in BYZANTINE_GOSSIP_VARIANTS:
-        raise ValueError(f"unknown byzantine-gossip variant {variant!r}; "
-                         f"expected one of {BYZANTINE_GOSSIP_VARIANTS}")
+    require_variant("byzantine-gossip", variant, BYZANTINE_GOSSIP_VARIANTS)
     system = IoTSystem.with_edge_cloud_landscape(5, 1, seed=seed)
     plane = SecurityPlane(system)
     edges = list(system.edge_nodes)
@@ -143,10 +112,7 @@ def prepare_byzantine_gossip(seed: int = 37, variant: str = "defended",
         plane.enable_auth(edges, protected_kinds=("gossip.",))
     nodes: Dict[str, GossipNode] = {}
     for edge in edges:
-        evidence = None
-        if defended:
-            def evidence(subject: str, kind: str, _obs=edge) -> None:
-                plane.trust.record(_obs, subject, kind)
+        evidence = partial(plane.trust.record, edge) if defended else None
         node = GossipNode(
             system.sim, system.network, edge,
             [e for e in edges if e != edge],
@@ -159,14 +125,12 @@ def prepare_byzantine_gossip(seed: int = 37, variant: str = "defended",
     for edge in edges:
         nodes[edge].start()
 
-    loop: Optional[MapeLoop] = None
-    if defended:
-        loop = _security_mape(system, plane, edges[0], list(edges))
+    loop = (components.intrusion_loop(system, plane, edges[0], list(edges))
+            if defended else None)
 
-    if variant != "clean" and attack:
-        system.injector.inject_at(_GOSSIP_COMPROMISE_AT, NodeCompromiseFault(
-            name=f"compromise:{attacker}", device_id=attacker,
-            behaviors=[GossipEquivocateBehavior(key=_GOSSIP_KEY)]))
+    if variant != "clean":
+        components.compromise(system, attacker, _GOSSIP_COMPROMISE_AT,
+                              [GossipEquivocateBehavior(key=_GOSSIP_KEY)])
 
     def probe(sim: Any) -> None:
         values = {nodes[e].get(_GOSSIP_KEY) for e in honest}
@@ -236,9 +200,7 @@ def prepare_raft_equivocation(seed: int = 41, variant: str = "defended",
     vote RTTs) so same-term honest candidacies actually collide -- the
     collision is what the forged quorum turns into a double leader.
     """
-    if variant not in RAFT_EQUIVOCATION_VARIANTS:
-        raise ValueError(f"unknown raft-equivocation variant {variant!r}; "
-                         f"expected one of {RAFT_EQUIVOCATION_VARIANTS}")
+    require_variant("raft-equivocation", variant, RAFT_EQUIVOCATION_VARIANTS)
     system = IoTSystem.with_edge_cloud_landscape(5, 1, seed=seed)
     plane = SecurityPlane(system)
     edges = list(system.edge_nodes)
@@ -248,10 +210,7 @@ def prepare_raft_equivocation(seed: int = 41, variant: str = "defended",
         plane.enable_auth(edges, protected_kinds=("raft.",))
     nodes: Dict[str, RaftNode] = {}
     for edge in edges:
-        evidence = None
-        if defended:
-            def evidence(subject: str, kind: str, _obs=edge) -> None:
-                plane.trust.record(_obs, subject, kind)
+        evidence = partial(plane.trust.record, edge) if defended else None
         nodes[edge] = RaftNode(
             system.sim, system.network, edge, list(edges),
             system.rngs.stream(f"security-raft:{edge}"),
@@ -260,13 +219,11 @@ def prepare_raft_equivocation(seed: int = 41, variant: str = "defended",
         )
     for edge in edges:
         nodes[edge].start()
-    loop: Optional[MapeLoop] = None
-    if defended:
-        loop = _security_mape(system, plane, edges[0], list(edges))
+    loop = (components.intrusion_loop(system, plane, edges[0], list(edges))
+            if defended else None)
     for attacker in attackers:
-        system.injector.inject_at(_RAFT_COMPROMISE_AT, NodeCompromiseFault(
-            name=f"compromise:{attacker}", device_id=attacker,
-            behaviors=[VoteEquivocateBehavior()]))
+        components.compromise(system, attacker, _RAFT_COMPROMISE_AT,
+                              [VoteEquivocateBehavior()])
     aux: Dict[str, Any] = {"plane": plane, "nodes": nodes, "edges": edges,
                            "attackers": attackers, "variant": variant,
                            "horizon": horizon, "loop": loop}
@@ -320,84 +277,28 @@ def prepare_sybil_flood(seed: int = 43, variant: str = "defended",
     compromised ``edge1`` floods 600/s of signed requests and pushes
     fabricated SWIM identities at ``edge0``/``edge2``.
     """
-    if variant not in SYBIL_FLOOD_VARIANTS:
-        raise ValueError(f"unknown sybil-flood variant {variant!r}; "
-                         f"expected one of {SYBIL_FLOOD_VARIANTS}")
+    require_variant("sybil-flood", variant, SYBIL_FLOOD_VARIANTS)
     system = IoTSystem.with_edge_cloud_landscape(3, 2, seed=seed)
     plane = SecurityPlane(system)
-    edges = list(system.edge_nodes)
     attacker = "edge1"
     defended = variant == "defended"
     if defended:
-        plane.enable_auth(edges + ["d0.0"], protected_kinds=("swim.",))
-    registry = TrafficRegistry(system)
-    server = registry.add_server(Server(
-        system.sim, system.network, "edge0",
-        rng=system.rngs.stream("traffic:server:edge0"),
-        concurrency=4, queue_capacity=64,
-        service=ServiceModel(mean=0.02),
-        metrics=system.metrics, trace=system.trace,
-    ))
+        components.authenticate_mesh(system, plane)
+    registry, server, _cloud = components.serving(system, admission=defended,
+                                                  cloud=False)
+    client, cohort = components.user_cohort(system, registry, users=3500,
+                                            rate_per_user=0.04, stop=horizon)
+    members = components.membership_mesh(system, plane, "security-swim",
+                                         defended)
+    sentry = loop = None
     if defended:
-        server.admission = QueueLengthAdmission(8)
-    client = registry.add_client(TrafficClient(
-        system.sim, system.network, "cohort", "d0.0", "edge0",
-        rng=system.rngs.stream("traffic:client"),
-        timeout=0.25, metrics=system.metrics, trace=system.trace,
-    ))
-    cohort = registry.add_generator(ClientCohort(
-        system.sim, client, users=3500, rate_per_user=0.04,
-        rng=system.rngs.stream("traffic:arrivals"),
-        stop=horizon,
-    ))
-    cohort.start()
-
-    members: Dict[str, MembershipProtocol] = {}
-    for edge in edges:
-        update_filter = None
-        evidence = None
-        if defended:
-            def evidence(subject: str, kind: str, _obs=edge) -> None:
-                plane.trust.record(_obs, subject, kind)
-
-            def update_filter(src: Optional[str], node: str, state: str,
-                              incarnation: int, _obs=edge) -> bool:
-                # Identity gate: only keyed (enrolled) nodes may join.
-                if plane.keychain.known(node):
-                    return True
-                if src is not None:
-                    plane.trust.record(_obs, src, "sybil-join", detail=node)
-                return False
-        protocol = MembershipProtocol(
-            system.sim, system.network, edge,
-            [e for e in edges if e != edge],
-            system.rngs.stream(f"security-swim:{edge}"),
-            probe_period=1.0,
-            update_filter=update_filter, evidence=evidence,
-            max_incarnation_jump=8 if defended else None,
-        )
-        members[edge] = protocol
-        plane.attach_membership(protocol)
-    for edge in edges:
-        members[edge].start()
-
-    sentry: Optional[FloodSentry] = None
-    loop: Optional[MapeLoop] = None
-    if defended:
-        sentry = FloodSentry(system, plane.trust, observer="edge0",
-                             period=0.5, rate_threshold=300.0,
-                             exempt=["edge0"])
-        sentry.start()
-        loop = _security_mape(system, plane, "edge0", list(edges),
-                              period=0.5)
+        sentry, loop = components.flood_response(system, plane)
 
     if variant != "clean":
-        system.injector.inject_at(_FLOOD_COMPROMISE_AT, NodeCompromiseFault(
-            name=f"compromise:{attacker}", device_id=attacker,
-            behaviors=[
-                FloodBehavior(target="edge0", rate=600.0),
-                SybilJoinBehavior(targets=["edge0", "edge2"]),
-            ]))
+        components.compromise(system, attacker, _FLOOD_COMPROMISE_AT, [
+            FloodBehavior(target="edge0", rate=600.0),
+            SybilJoinBehavior(targets=["edge0", "edge2"]),
+        ])
 
     aux: Dict[str, Any] = {"plane": plane, "registry": registry,
                            "server": server, "client": client,
@@ -412,12 +313,9 @@ def sybil_flood_result(prepared: PreparedRun) -> Dict[str, Any]:
     system = prepared.system
     aux = prepared.aux
     plane: SecurityPlane = aux["plane"]
-    members: Dict[str, MembershipProtocol] = aux["members"]
     start, end = SYBIL_FLOOD_WINDOW
     goodput = windowed_rate(system.metrics, COMPLETIONS_SERIES, start, end)
-    sybils = sorted({m for edge in ("edge0", "edge2")
-                     for m in members[edge].members()
-                     if m.startswith("sybil-")})
+    sybils = components.sybil_members(aux["members"], aux["attacker"])
     stats = aux["client"].stats
     per_source = system.network.stats.per_source
     return {
@@ -444,3 +342,115 @@ def run_sybil_flood(variant: str, seed: int = 43,
     prepared = prepare_sybil_flood(seed=seed, variant=variant, **params)
     prepared.system.run(until=prepared.horizon)
     return sybil_flood_result(prepared)
+
+
+# --------------------------------------------------------------------------- #
+# CI gates: the naive variant must fail where the defended one holds
+# --------------------------------------------------------------------------- #
+def _byzantine_gossip_verdict(by: Dict[str, Dict[str, Any]]
+                              ) -> Tuple[List[str], str]:
+    clean, naive, defended = by["clean"], by["naive"], by["defended"]
+    failures = []
+    if naive["converged"]:
+        failures.append("naive mesh converged despite the equivocator")
+    if not defended["converged"]:
+        failures.append("defended mesh never converged")
+    elif defended["converged_at"] > 2.0 * clean["converged_at"]:
+        failures.append(
+            f"defended convergence {defended['converged_at']:.1f}s "
+            f"exceeds 2x clean ({clean['converged_at']:.1f}s)")
+    if naive["attacker"] not in defended["quarantined"]:
+        failures.append("defended run did not quarantine the attacker")
+    if failures:
+        return failures, ""
+    return [], (f"defended converges at {defended['converged_at']:.1f}s "
+                f"vs clean {clean['converged_at']:.1f}s; naive never "
+                "converges")
+
+
+def _sybil_flood_verdict(by: Dict[str, Dict[str, Any]]
+                         ) -> Tuple[List[str], str]:
+    clean, naive, defended = by["clean"], by["naive"], by["defended"]
+    failures = []
+    if naive["goodput"] >= 0.5 * clean["goodput"]:
+        failures.append("naive run did not collapse under the flood")
+    if defended["goodput"] < 0.9 * clean["goodput"]:
+        failures.append(
+            f"defended goodput {defended['goodput']:.1f}/s is below "
+            f"90% of clean ({clean['goodput']:.1f}/s)")
+    if defended["sybil_count"]:
+        failures.append(
+            f"defended membership admitted {defended['sybil_count']} "
+            "sybil identities")
+    if not naive["sybil_count"]:
+        failures.append("naive membership rejected the sybils "
+                        "(attack had no teeth)")
+    if failures:
+        return failures, ""
+    return [], (f"defended holds "
+                f"{defended['goodput'] / clean['goodput']:.0%} of clean "
+                f"goodput; naive collapses to "
+                f"{naive['goodput'] / clean['goodput']:.0%}")
+
+
+def _raft_equivocation_verdict(by: Dict[str, Dict[str, Any]]
+                               ) -> Tuple[List[str], str]:
+    naive, defended = by["naive"], by["defended"]
+    failures = []
+    if not naive["safety_violated"]:
+        failures.append("naive run never double-elected "
+                        "(attack had no teeth)")
+    if defended["safety_violated"]:
+        failures.append("defended run elected two leaders in one term")
+    if not defended["leader_elected"]:
+        failures.append("defended run never elected a leader")
+    if failures:
+        return failures, ""
+    return [], (f"naive double-elects in {len(naive['double_wins'])} "
+                f"term(s); defended keeps one safe leader and quarantines "
+                f"{','.join(defended['quarantined'])}")
+
+
+#: Gate order is the CLI's: the first is ``python -m repro security``'s
+#: default scenario.
+GATES = [
+    VariantGate(
+        scenario="security-byzantine-gossip",
+        variants=BYZANTINE_GOSSIP_VARIANTS, judged="defended",
+        horizons=(12.0, BYZANTINE_GOSSIP_HORIZON), run=run_byzantine_gossip,
+        title="security: byzantine gossip (horizon {horizon:g}s)",
+        headers=("variant", "converged", "converged at (s)",
+                 "honest values", "quarantined", "auth drops"),
+        row=lambda r: [r["variant"], r["converged"], r["converged_at"],
+                       len(r["honest_values"]),
+                       ",".join(r["quarantined"]) or "-",
+                       r["security"]["dropped_auth"]],
+        verdict=_byzantine_gossip_verdict),
+    VariantGate(
+        scenario="security-sybil-flood", variants=SYBIL_FLOOD_VARIANTS,
+        judged="defended",
+        horizons=(SYBIL_FLOOD_HORIZON, SYBIL_FLOOD_HORIZON),
+        run=run_sybil_flood,
+        title="security: sybil flood against an edge server",
+        headers=("variant", "offered/s", "goodput/s", "success", "sybils",
+                 "attacker msgs", "quarantined"),
+        row=lambda r: [r["variant"], r["offered_rate"], r["goodput"],
+                       r["success_ratio"], r["sybil_count"],
+                       r["attacker_messages"],
+                       ",".join(r["quarantined"]) or "-"],
+        verdict=_sybil_flood_verdict),
+    VariantGate(
+        scenario="security-raft-equivocation",
+        variants=RAFT_EQUIVOCATION_VARIANTS, judged="defended",
+        horizons=(RAFT_EQUIVOCATION_HORIZON, RAFT_EQUIVOCATION_HORIZON),
+        run=run_raft_equivocation,
+        title="security: raft equivocation with f=2 of n=5 compromised",
+        headers=("variant", "elections won", "double-win terms", "safety",
+                 "final leaders", "quarantined"),
+        row=lambda r: [r["variant"], r["elections_won"],
+                       ",".join(str(t) for t in r["double_wins"]) or "-",
+                       "VIOLATED" if r["safety_violated"] else "safe",
+                       ",".join(r["final_leaders"]) or "-",
+                       ",".join(r["quarantined"]) or "-"],
+        verdict=_raft_equivocation_verdict),
+]

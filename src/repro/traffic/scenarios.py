@@ -33,23 +33,16 @@ other registered scenario.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Optional
+from typing import Any, Dict, List, Tuple
 
-from repro.adaptation import (
-    BackpressureAnalyzer,
-    Executor,
-    MapeLoop,
-    RuleBasedPlanner,
-)
+from repro import components
+from repro.components import EDGE_CAPACITY
 from repro.core.system import IoTSystem
 from repro.faults.models import CrashRecoveryFault
 from repro.persistence.scenarios import PreparedRun
-from repro.traffic.admission import QueueLengthAdmission
-from repro.traffic.client import COMPLETIONS_SERIES, TrafficClient
-from repro.traffic.loadgen import ClientCohort
-from repro.traffic.patterns import CircuitBreaker, RetryBudget, RetryPolicy
-from repro.traffic.server import Server, ServiceModel
-from repro.traffic.stats import TrafficRegistry, windowed_rate
+from repro.scenarios import VariantGate, require_variant
+from repro.traffic.client import COMPLETIONS_SERIES
+from repro.traffic.stats import windowed_rate
 
 OVERLOAD_HORIZON = 30.0
 OVERLOAD_VARIANTS = ("naive", "admission", "adaptive")
@@ -57,33 +50,6 @@ OVERLOAD_VARIANTS = ("naive", "admission", "adaptive")
 RETRY_STORM_HORIZON = 45.0
 RETRY_STORM_VARIANTS = ("naive", "resilient")
 RETRY_STORM_OUTAGE = (10.0, 8.0)     # (start, duration) of the edge crash
-
-#: Edge serving capacity: 4 slots x 50 req/s each = 200 req/s.
-_EDGE_CONCURRENCY = 4
-_EDGE_QUEUE = 64
-_SERVICE_MEAN = 0.02
-_CLIENT_TIMEOUT = 0.25
-
-
-def _serving_system(seed: int) -> tuple:
-    """One edge site under test plus an elastic cloud pool."""
-    system = IoTSystem.with_edge_cloud_landscape(2, 2, seed=seed)
-    registry = TrafficRegistry(system)
-    edge = registry.add_server(Server(
-        system.sim, system.network, "edge0",
-        rng=system.rngs.stream("traffic:server:edge0"),
-        concurrency=_EDGE_CONCURRENCY, queue_capacity=_EDGE_QUEUE,
-        service=ServiceModel(mean=_SERVICE_MEAN),
-        metrics=system.metrics, trace=system.trace,
-    ))
-    cloud = registry.add_server(Server(
-        system.sim, system.network, "cloud",
-        rng=system.rngs.stream("traffic:server:cloud"),
-        concurrency=32, queue_capacity=512,
-        service=ServiceModel(mean=_SERVICE_MEAN),
-        metrics=system.metrics, trace=system.trace,
-    ))
-    return system, registry, edge, cloud
 
 
 def prepare_overload(seed: int = 23, variant: str = "admission",
@@ -95,44 +61,17 @@ def prepare_overload(seed: int = 23, variant: str = "admission",
     against a 200 req/s edge server; variants differ only in the
     overload countermeasure.
     """
-    if variant not in OVERLOAD_VARIANTS:
-        raise ValueError(f"unknown overload variant {variant!r}; "
-                         f"expected one of {OVERLOAD_VARIANTS}")
-    system, registry, edge, _cloud = _serving_system(seed)
-    if variant == "admission":
-        # Bound waiting below the client timeout: 8 entries / 200 req/s
-        # = 40ms worst-case wait against a 250ms deadline.
-        edge.admission = QueueLengthAdmission(8)
-    client = registry.add_client(TrafficClient(
-        system.sim, system.network, "cohort", "d0.0", "edge0",
-        rng=system.rngs.stream("traffic:client"),
-        timeout=_CLIENT_TIMEOUT,
-        metrics=system.metrics, trace=system.trace,
-    ))
-    cohort = registry.add_generator(ClientCohort(
-        system.sim, client, users=users, rate_per_user=rate_per_user,
-        rng=system.rngs.stream("traffic:arrivals"),
-        stop=horizon,
-    ))
-    aux: Dict[str, Any] = {"registry": registry, "client": client,
-                           "cohort": cohort, "edge": edge,
-                           "variant": variant, "horizon": horizon}
+    require_variant("overload", variant, OVERLOAD_VARIANTS)
+    system = IoTSystem.with_edge_cloud_landscape(2, 2, seed=seed)
+    registry, edge, _cloud = components.serving(
+        system, admission=variant == "admission")
+    aux: Dict[str, Any] = {"edge": edge, "variant": variant,
+                           "horizon": horizon}
     if variant == "adaptive":
-        loop = MapeLoop(
-            system.sim, system.network, system.fleet, "edge0", ["d0.0"],
-            analyzers=[BackpressureAnalyzer()],
-            planner=RuleBasedPlanner(),
-            executor=Executor(system.sim, system.network, system.fleet,
-                              "edge0", system.rngs.stream("exec:edge0"),
-                              trace=system.trace),
-            period=1.0, metrics=system.metrics, trace=system.trace,
-        )
-        # The elasticity escape hatch the overload rule consults.
-        loop.knowledge.facts["offload_target"] = "cloud"
-        edge.attach_backpressure(loop.knowledge)
-        loop.start()
-        aux["loop"] = loop
-    cohort.start()
+        aux["loop"] = components.backpressure_loop(system, edge)
+    client, cohort = components.user_cohort(system, registry, users,
+                                            rate_per_user, stop=horizon)
+    aux.update(registry=registry, client=client, cohort=cohort)
     return PreparedRun(system=system, horizon=horizon, aux=aux)
 
 
@@ -145,30 +84,12 @@ def prepare_retry_storm(seed: int = 29, variant: str = "resilient",
     8s crash of the edge server plus aggressive retries is what makes
     the naive variant metastable.
     """
-    if variant not in RETRY_STORM_VARIANTS:
-        raise ValueError(f"unknown retry-storm variant {variant!r}; "
-                         f"expected one of {RETRY_STORM_VARIANTS}")
-    system, registry, edge, _cloud = _serving_system(seed)
-    retry = RetryPolicy(max_attempts=4, base_delay=0.05, multiplier=2.0,
-                        max_delay=1.0, jitter=0.3)
-    budget: Optional[RetryBudget] = None
-    breaker: Optional[CircuitBreaker] = None
-    if variant == "resilient":
-        budget = RetryBudget(ratio=0.1, cap=50.0, initial=10.0)
-        breaker = CircuitBreaker(failure_threshold=5, recovery_time=1.0,
-                                 half_open_probes=1, success_threshold=3)
-    client = registry.add_client(TrafficClient(
-        system.sim, system.network, "cohort", "d0.0", "edge0",
-        rng=system.rngs.stream("traffic:client"),
-        timeout=_CLIENT_TIMEOUT, retry=retry, budget=budget, breaker=breaker,
-        metrics=system.metrics, trace=system.trace,
-    ))
-    cohort = registry.add_generator(ClientCohort(
-        system.sim, client, users=users, rate_per_user=rate_per_user,
-        rng=system.rngs.stream("traffic:arrivals"),
-        stop=horizon,
-    ))
-    cohort.start()
+    require_variant("retry-storm", variant, RETRY_STORM_VARIANTS)
+    system = IoTSystem.with_edge_cloud_landscape(2, 2, seed=seed)
+    registry, edge, _cloud = components.serving(system)
+    client, cohort = components.user_cohort(
+        system, registry, users, rate_per_user, stop=horizon, retries=True,
+        guarded=variant == "resilient")
     outage_at, outage_for = RETRY_STORM_OUTAGE
     system.injector.inject_at(outage_at, CrashRecoveryFault(
         name="edge0-crash", device_id="edge0", duration=outage_for))
@@ -198,15 +119,14 @@ def overload_result(prepared: PreparedRun) -> Dict[str, Any]:
     horizon = aux["horizon"]
     cohort = aux["cohort"]
     client = aux["client"]
-    capacity = _EDGE_CONCURRENCY / _SERVICE_MEAN
     stats = client.stats
     goodput = stats.completed / horizon
     return {
         "variant": aux["variant"],
         "offered_rate": cohort.aggregate_rate,
-        "capacity": capacity,
+        "capacity": EDGE_CAPACITY,
         "goodput": goodput,
-        "goodput_vs_capacity": goodput / capacity,
+        "goodput_vs_capacity": goodput / EDGE_CAPACITY,
         "success_ratio": stats.success_ratio,
         "p99_latency": stats.latency.quantile(0.99),
         "timed_out": stats.timed_out,
@@ -259,3 +179,50 @@ def run_retry_storm(variant: str, seed: int = 29, **params: Any) -> Dict[str, An
     prepared = prepare_retry_storm(seed=seed, variant=variant, **params)
     prepared.system.run(until=prepared.horizon)
     return retry_storm_result(prepared)
+
+
+# --------------------------------------------------------------------------- #
+# CI gates: the resilient variant must hold where the naive one fails
+# --------------------------------------------------------------------------- #
+def _overload_verdict(by: Dict[str, Dict[str, Any]]) -> Tuple[List[str], str]:
+    held = by["admission"]["goodput_vs_capacity"]
+    if held < 0.8:
+        return [f"admission goodput at {held:.0%} of capacity"], ""
+    return [], f"admission control holds goodput at {held:.0%} of capacity"
+
+
+def _retry_storm_verdict(by: Dict[str, Dict[str, Any]]
+                         ) -> Tuple[List[str], str]:
+    recovered = by["resilient"]["recovery_ratio"]
+    if recovered < 0.9:
+        return [f"post-heal goodput recovered only {recovered:.0%} "
+                "of offered"], ""
+    return [], f"budget+breaker recover {recovered:.0%} of offered goodput"
+
+
+GATES = [
+    VariantGate(
+        scenario="traffic-overload", variants=OVERLOAD_VARIANTS,
+        judged="admission", horizons=(15.0, OVERLOAD_HORIZON),
+        run=run_overload,
+        title="traffic: overload at 1.6x capacity (horizon {horizon:g}s)",
+        headers=("variant", "offered/s", "capacity/s", "goodput/s",
+                 "success", "p99 (s)", "rejected", "timed out"),
+        row=lambda r: [r["variant"], r["offered_rate"], r["capacity"],
+                       r["goodput"], r["success_ratio"], r["p99_latency"],
+                       r["rejected"], r["timed_out"]],
+        verdict=_overload_verdict),
+    VariantGate(
+        scenario="traffic-retry-storm", variants=RETRY_STORM_VARIANTS,
+        judged="resilient", horizons=(35.0, RETRY_STORM_HORIZON),
+        run=run_retry_storm,
+        title="traffic: retry storm across an 8s edge crash "
+              "(horizon {horizon:g}s)",
+        headers=("variant", "offered/s", "recovered/s", "recovery",
+                 "retries", "short-circuited", "breaker trips"),
+        row=lambda r: [r["variant"], r["offered_rate"],
+                       r["recovered_goodput"], r["recovery_ratio"],
+                       r["retries"], r["short_circuited"],
+                       r.get("breaker", {}).get("trips", "-")],
+        verdict=_retry_storm_verdict),
+]
