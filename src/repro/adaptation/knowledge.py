@@ -124,25 +124,3 @@ class KnowledgeBase:
             },
             "facts": dict(self.facts),
         }
-
-    def restore_state(self, state: Dict[str, object]) -> None:
-        self.scope = list(state["scope"])
-        self._snapshots = {
-            d: DeviceSnapshot(
-                device_id=d, observed_at=float(s["observed_at"]),
-                up=bool(s["up"]),
-                battery_fraction=float(s["battery_fraction"]),
-                running_services=frozenset(s["running_services"]),
-                failed_services=frozenset(s["failed_services"]),
-                location=s["location"], domain=s["domain"],
-            )
-            for d, s in state["snapshots"].items()
-        }
-        self._open_issues = {
-            key: Issue(kind=i["kind"], subject=i["subject"],
-                       detected_at=float(i["detected_at"]),
-                       severity=int(i["severity"]), detail=i["detail"],
-                       service=i["service"])
-            for key, i in state["issues"].items()
-        }
-        self.facts = dict(state["facts"])

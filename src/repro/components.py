@@ -92,10 +92,10 @@ def user_cohort(system: Any, registry: TrafficRegistry, users: int,
         timeout=0.25, retry=retry, budget=budget, breaker=breaker,
         metrics=system.metrics, trace=system.trace,
     ))
-    cohort = registry.add_generator(ClientCohort(
+    cohort = ClientCohort(
         system.sim, client, users=users, rate_per_user=rate_per_user,
         rng=system.rngs.stream("traffic:arrivals"), stop=stop,
-    ))
+    )
     cohort.start()
     return client, cohort
 

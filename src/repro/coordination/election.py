@@ -9,10 +9,9 @@ with Raft (which elects by quorum and tolerates partitions safely).
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, Optional
+from typing import Callable, List, Optional
 
 from repro.network.transport import Message, Network
-from repro.persistence.snapshot import event_ref, restore_event_ref
 from repro.simulation.kernel import Simulator
 
 
@@ -44,12 +43,9 @@ class BullyElection:
         self.response_timeout = response_timeout
         self.on_leader = on_leader
         self.leader: Optional[str] = None
-        self.elections_started = 0
         self._election_round = 0
         self._awaiting_round: Optional[int] = None
         self._got_answer = False
-        self._deadline_event = None
-        self._deadline_round: Optional[int] = None
         network.register(node_id, "bully.election", self._on_election)
         network.register(node_id, "bully.answer", self._on_answer)
         network.register(node_id, "bully.coordinator", self._on_coordinator)
@@ -59,7 +55,6 @@ class BullyElection:
         """Challenge all higher-id nodes; become leader if none answers."""
         if not self.network.node_up(self.node_id):
             return
-        self.elections_started += 1
         self._election_round += 1
         round_id = self._election_round
         self._awaiting_round = round_id
@@ -71,8 +66,7 @@ class BullyElection:
         for peer in higher:
             self.network.send(self.node_id, peer, "bully.election",
                               payload={"from": self.node_id}, size_bytes=48)
-        self._deadline_round = round_id
-        self._deadline_event = self.sim.schedule(
+        self.sim.schedule(
             self.response_timeout,
             lambda _s, r=round_id: self._response_deadline(r),
             label=f"bully-timeout:{self.node_id}",
@@ -120,33 +114,3 @@ class BullyElection:
     def _on_coordinator(self, message: Message) -> None:
         self._awaiting_round = None
         self._set_leader(message.payload["leader"])
-
-    # -- persistence ----------------------------------------------------------#
-    def snapshot_state(self) -> Dict[str, Any]:
-        """Election state including any pending response deadline.
-
-        The deadline callback closes over its round id, which cannot be
-        serialized -- so the round id rides along in the snapshot and
-        ``restore_state`` rebuilds an equivalent closure.
-        """
-        return {
-            "leader": self.leader,
-            "elections_started": self.elections_started,
-            "election_round": self._election_round,
-            "awaiting_round": self._awaiting_round,
-            "got_answer": self._got_answer,
-            "deadline": event_ref(self._deadline_event),
-            "deadline_round": self._deadline_round,
-        }
-
-    def restore_state(self, state: Dict[str, Any]) -> None:
-        self.leader = state["leader"]
-        self.elections_started = int(state["elections_started"])
-        self._election_round = int(state["election_round"])
-        self._awaiting_round = state["awaiting_round"]
-        self._got_answer = bool(state["got_answer"])
-        self._deadline_round = state["deadline_round"]
-        round_id = self._deadline_round
-        self._deadline_event = restore_event_ref(
-            self.sim, state["deadline"],
-            lambda _s, r=round_id: self._response_deadline(r))

@@ -11,12 +11,10 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.network.transport import Message, Network
-from repro.persistence.snapshot import event_ref, restore_event_ref
 from repro.simulation.kernel import Simulator
-from repro.simulation.rng import restore_rng_state, serialize_rng_state
 
 
 @dataclass(frozen=True)
@@ -70,7 +68,6 @@ class GossipNode:
         self.evidence = evidence
         self._state: Dict[str, GossipValue] = {}
         self._running = False
-        self._tick_event = None
         self.rounds = 0
         network.register(node_id, "gossip.push", self._on_push)
         network.register(node_id, "gossip.pull", self._on_pull)
@@ -137,8 +134,7 @@ class GossipNode:
                 spans.finish(span, sim.now)
             else:
                 self._push(targets, digest)
-        self._tick_event = sim.schedule(self.period, self._round,
-                                        label=f"gossip:{self.node_id}")
+        sim.schedule(self.period, self._round, label=f"gossip:{self.node_id}")
 
     def _push(self, targets: List[str], digest) -> None:
         for target in targets:
@@ -188,26 +184,3 @@ class GossipNode:
                 self._state[key] = incoming
                 if self.on_update is not None:
                     self.on_update(key, incoming)
-
-    # -- persistence ----------------------------------------------------------#
-    def snapshot_state(self) -> Dict[str, Any]:
-        """Checkpointable state, including the pending round tick."""
-        return {
-            "running": self._running,
-            "rounds": self.rounds,
-            "peers": list(self.peers),
-            "state": [[k, e.value, e.version, e.owner]
-                      for k, e in sorted(self._state.items())],
-            "rng": serialize_rng_state(self.rng),
-            "tick": event_ref(self._tick_event),
-        }
-
-    def restore_state(self, state: Dict[str, Any]) -> None:
-        """Rebuild state and re-register the round tick (Snapshottable)."""
-        self._running = bool(state["running"])
-        self.rounds = int(state["rounds"])
-        self.peers = list(state["peers"])
-        self._state = {k: GossipValue(value=v, version=ver, owner=owner)
-                       for k, v, ver, owner in state["state"]}
-        restore_rng_state(self.rng, state["rng"])
-        self._tick_event = restore_event_ref(self.sim, state["tick"], self._round)

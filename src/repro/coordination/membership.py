@@ -13,12 +13,10 @@ from __future__ import annotations
 import enum
 import random
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.network.transport import Message, Network
-from repro.persistence.snapshot import event_ref, restore_event_ref
 from repro.simulation.kernel import Simulator
-from repro.simulation.rng import restore_rng_state, serialize_rng_state
 
 
 class MemberState(enum.Enum):
@@ -31,7 +29,6 @@ class MemberState(enum.Enum):
 class _MemberInfo:
     state: MemberState
     incarnation: int
-    since: float
 
 
 class MembershipProtocol:
@@ -85,25 +82,16 @@ class MembershipProtocol:
         self.max_incarnation_jump = max_incarnation_jump
         self.incarnation = 0
         self._members: Dict[str, _MemberInfo] = {
-            node_id: _MemberInfo(MemberState.ALIVE, 0, sim.now)
+            node_id: _MemberInfo(MemberState.ALIVE, 0)
         }
         for seed in seeds:
             if seed != node_id:
-                self._members[seed] = _MemberInfo(MemberState.ALIVE, 0, sim.now)
+                self._members[seed] = _MemberInfo(MemberState.ALIVE, 0)
         # Updates pending dissemination: name -> (state, incarnation).
         self._updates: Dict[str, Tuple[str, int]] = {}
         self._pending_acks: Dict[int, str] = {}
         self._probe_seq = 0
         self._running = False
-        # Pending timer bookkeeping for checkpointing: probe tick, per-seq
-        # probe timeouts (phase, target, event) and suspicion timers
-        # (node, incarnation, event).  Entries for already-fired timers are
-        # pruned when they fire (timeouts) or lazily (suspicions); no-op
-        # timers (e.g. a timeout whose ack already arrived) stay tracked
-        # until they fire, because they are still part of the event stream.
-        self._tick_event = None
-        self._timeouts: Dict[int, Tuple[str, str, Any]] = {}
-        self._suspicion_timers: List[Tuple[str, int, Any]] = []
         for kind in ("swim.ping", "swim.ack", "swim.ping_req", "swim.indirect_ack"):
             network.register(node_id, kind, self._dispatch)
 
@@ -152,8 +140,8 @@ class MembershipProtocol:
             target = self._pick_probe_target()
             if target is not None:
                 self._probe(target)
-        self._tick_event = sim.schedule(self.probe_period, self._probe_round,
-                                        label=f"swim:{self.node_id}")
+        sim.schedule(self.probe_period, self._probe_round,
+                     label=f"swim:{self.node_id}")
 
     def _pick_probe_target(self) -> Optional[str]:
         candidates = [
@@ -169,15 +157,13 @@ class MembershipProtocol:
         seq = self._probe_seq
         self._pending_acks[seq] = target
         self._send(target, "swim.ping", {"seq": seq, "from": self.node_id})
-        event = self.sim.schedule(
+        self.sim.schedule(
             self.probe_timeout,
             lambda _s, s=seq, t=target: self._direct_timeout(s, t),
             label=f"swim-timeout:{self.node_id}",
         )
-        self._timeouts[seq] = ("direct", target, event)
 
     def _direct_timeout(self, seq: int, target: str) -> None:
-        self._timeouts.pop(seq, None)
         if seq not in self._pending_acks:
             return
         # Direct probe failed; try indirect probes through k proxies.
@@ -193,15 +179,13 @@ class MembershipProtocol:
         for proxy in proxies:
             self._send(proxy, "swim.ping_req",
                        {"seq": seq, "from": self.node_id, "target": target})
-        event = self.sim.schedule(
+        self.sim.schedule(
             self.probe_timeout * 2,
             lambda _s, s=seq, t=target: self._indirect_timeout(s, t),
             label=f"swim-indirect-timeout:{self.node_id}",
         )
-        self._timeouts[seq] = ("indirect", target, event)
 
     def _indirect_timeout(self, seq: int, target: str) -> None:
-        self._timeouts.pop(seq, None)
         self._finish_probe(seq, target, acked=False)
 
     def _finish_probe(self, seq: int, target: str, acked: bool) -> None:
@@ -217,15 +201,11 @@ class MembershipProtocol:
         if info is None or info.state != MemberState.ALIVE:
             return
         self._set_state(node, MemberState.SUSPECT, info.incarnation)
-        event = self.sim.schedule(
+        self.sim.schedule(
             self.suspicion_timeout,
             lambda _s, n=node, inc=info.incarnation: self._confirm_dead(n, inc),
             label=f"swim-suspicion:{self.node_id}",
         )
-        # Prune fired timers, then track the new one for checkpointing.
-        self._suspicion_timers = [x for x in self._suspicion_timers
-                                  if x[2].pending]
-        self._suspicion_timers.append((node, info.incarnation, event))
 
     def _confirm_dead(self, node: str, incarnation: int) -> None:
         info = self._members.get(node)
@@ -235,7 +215,7 @@ class MembershipProtocol:
     def _set_state(self, node: str, state: MemberState, incarnation: int) -> None:
         info = self._members.get(node)
         changed = info is None or info.state != state or info.incarnation != incarnation
-        self._members[node] = _MemberInfo(state, incarnation, self.sim.now)
+        self._members[node] = _MemberInfo(state, incarnation)
         self._updates[node] = (state.value, incarnation)
         if changed and self.on_change is not None and node != self.node_id:
             self.on_change(node, state)
@@ -333,69 +313,6 @@ class MembershipProtocol:
                 self._set_state(node, incoming, incarnation)
             elif incarnation == info.incarnation and _precedence(incoming) > _precedence(info.state):
                 self._set_state(node, incoming, incarnation)
-
-    # -- persistence ----------------------------------------------------------#
-    def snapshot_state(self) -> Dict[str, Any]:
-        """Membership view plus every pending timer (probe tick, probe
-        timeouts with their phase, suspicion timers with incarnations).
-
-        No-op timers -- e.g. a probe timeout whose ack already arrived --
-        are captured too: they still occupy slots in the event stream, so
-        dropping them would make a restored run diverge from the original.
-        """
-        return {
-            "running": self._running,
-            "incarnation": self.incarnation,
-            "probe_seq": self._probe_seq,
-            "members": {n: [i.state.value, i.incarnation, i.since]
-                        for n, i in sorted(self._members.items())},
-            "updates": {n: [s, inc]
-                        for n, (s, inc) in sorted(self._updates.items())},
-            "pending_acks": {str(seq): target
-                             for seq, target in sorted(self._pending_acks.items())},
-            "rng": serialize_rng_state(self.rng),
-            "tick": event_ref(self._tick_event),
-            "timeouts": [[seq, phase, target, event_ref(ev)]
-                         for seq, (phase, target, ev)
-                         in sorted(self._timeouts.items()) if ev.pending],
-            "suspicions": [[node, inc, event_ref(ev)]
-                           for node, inc, ev in self._suspicion_timers
-                           if ev.pending],
-        }
-
-    def restore_state(self, state: Dict[str, Any]) -> None:
-        self._running = bool(state["running"])
-        self.incarnation = int(state["incarnation"])
-        self._probe_seq = int(state["probe_seq"])
-        self._members = {
-            n: _MemberInfo(MemberState(s), int(inc), float(since))
-            for n, (s, inc, since) in state["members"].items()
-        }
-        self._updates = {n: (s, int(inc))
-                         for n, (s, inc) in state["updates"].items()}
-        self._pending_acks = {int(seq): target
-                              for seq, target in state["pending_acks"].items()}
-        restore_rng_state(self.rng, state["rng"])
-        self._tick_event = restore_event_ref(self.sim, state["tick"],
-                                             self._probe_round)
-        self._timeouts = {}
-        for seq, phase, target, ref in state["timeouts"]:
-            seq = int(seq)
-            if phase == "direct":
-                callback = (lambda _s, s=seq, t=target:
-                            self._direct_timeout(s, t))
-            else:
-                callback = (lambda _s, s=seq, t=target:
-                            self._indirect_timeout(s, t))
-            event = restore_event_ref(self.sim, ref, callback)
-            self._timeouts[seq] = (phase, target, event)
-        self._suspicion_timers = []
-        for node, inc, ref in state["suspicions"]:
-            inc = int(inc)
-            event = restore_event_ref(
-                self.sim, ref,
-                lambda _s, n=node, i=inc: self._confirm_dead(n, i))
-            self._suspicion_timers.append((node, inc, event))
 
 
 def _precedence(state: MemberState) -> int:

@@ -21,9 +21,7 @@ from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional
 
 from repro.network.transport import Message, Network
-from repro.persistence.snapshot import event_ref, restore_event_ref
 from repro.simulation.kernel import Simulator
-from repro.simulation.rng import restore_rng_state, serialize_rng_state
 
 _NULL_CONTEXT = nullcontext()
 
@@ -98,7 +96,6 @@ class RaftNode:
         self._votes_received: set = set()
         self._election_deadline = 0.0
         self._running = False
-        self._tick_event = None
         self.elections_won = 0
         # Terms this node won an election in: the post-hoc leader-safety
         # record (any term appearing in two nodes' lists is a violation).
@@ -142,9 +139,8 @@ class RaftNode:
             # While crashed we neither campaign nor vote; on recovery the
             # stale deadline immediately triggers a fresh election attempt.
             pass
-        self._tick_event = sim.schedule(self.heartbeat_interval / 2,
-                                        self._timer_loop,
-                                        label=f"raft-timer:{self.node_id}")
+        sim.schedule(self.heartbeat_interval / 2, self._timer_loop,
+                     label=f"raft-timer:{self.node_id}")
 
     def _reset_election_timer(self) -> None:
         low, high = self.election_timeout
@@ -403,53 +399,6 @@ class RaftNode:
     def committed_commands(self) -> List[Any]:
         return [e.command for e in self.log[: self.commit_index]]
 
-    # ------------------------------------------------------------------ #
-    # Persistence
-    # ------------------------------------------------------------------ #
-    def snapshot_state(self) -> Dict[str, Any]:
-        """Full Raft state: persistent, volatile, leader and timer state.
-
-        Includes the node's private RNG position (randomized election
-        timeouts) so a restored node draws the same future deadlines.
-        """
-        return {
-            "current_term": self.current_term,
-            "voted_for": self.voted_for,
-            "log": [[e.term, e.command] for e in self.log],
-            "role": self.role.value,
-            "commit_index": self.commit_index,
-            "last_applied": self.last_applied,
-            "leader_id": self.leader_id,
-            "next_index": dict(self.next_index),
-            "match_index": dict(self.match_index),
-            "votes_received": sorted(self._votes_received),
-            "election_deadline": self._election_deadline,
-            "elections_won": self.elections_won,
-            "won_terms": list(self.won_terms),
-            "running": self._running,
-            "rng": serialize_rng_state(self.rng),
-            "tick": event_ref(self._tick_event),
-        }
-
-    def restore_state(self, state: Dict[str, Any]) -> None:
-        self.current_term = int(state["current_term"])
-        self.voted_for = state["voted_for"]
-        self.log = [LogEntry(term=t, command=c) for t, c in state["log"]]
-        self.role = RaftRole(state["role"])
-        self.commit_index = int(state["commit_index"])
-        self.last_applied = int(state["last_applied"])
-        self.leader_id = state["leader_id"]
-        self.next_index = {p: int(i) for p, i in state["next_index"].items()}
-        self.match_index = {p: int(i) for p, i in state["match_index"].items()}
-        self._votes_received = set(state["votes_received"])
-        self._election_deadline = float(state["election_deadline"])
-        self.elections_won = int(state["elections_won"])
-        self.won_terms = [int(t) for t in state.get("won_terms", ())]
-        self._running = bool(state["running"])
-        restore_rng_state(self.rng, state["rng"])
-        self._tick_event = restore_event_ref(self.sim, state["tick"],
-                                             self._timer_loop)
-
 
 class RaftCluster:
     """Convenience: build and drive a cluster of :class:`RaftNode`.
@@ -511,17 +460,3 @@ class RaftCluster:
         sequences = sorted(self.applied.values(), key=len, reverse=True)
         longest = sequences[0]
         return all(seq == longest[: len(seq)] for seq in sequences[1:])
-
-    # -- persistence ----------------------------------------------------------#
-    def snapshot_state(self) -> Dict[str, Any]:
-        return {
-            "applied": {n: list(cmds) for n, cmds in sorted(self.applied.items())},
-            "nodes": {n: node.snapshot_state()
-                      for n, node in sorted(self.nodes.items())},
-        }
-
-    def restore_state(self, state: Dict[str, Any]) -> None:
-        for node_id, commands in state["applied"].items():
-            self.applied[node_id] = list(commands)
-        for node_id in sorted(state["nodes"]):
-            self.nodes[node_id].restore_state(state["nodes"][node_id])

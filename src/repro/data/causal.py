@@ -115,7 +115,6 @@ class CausalBroadcast:
         self.delivered[node_id] = 0
         self._send_seq = 0
         self._buffer: List[CausalMessage] = []
-        self._log: List[Tuple[str, Any]] = []
         self._sent: List[CausalMessage] = []   # for retransmission
         network.register(node_id, "causal.msg", self._on_message)
         network.register(node_id, "causal.nack", self._on_nack)
@@ -178,7 +177,6 @@ class CausalBroadcast:
 
     def _deliver(self, message: CausalMessage) -> None:
         self.delivered[message.origin] = message.seq
-        self._log.append((message.origin, message.payload))
         if self.on_deliver is not None:
             self.on_deliver(message.origin, message.payload)
 
@@ -193,10 +191,6 @@ class CausalBroadcast:
                      label=f"causal-retransmit:{self.node_id}")
 
     # -- introspection ------------------------------------------------------ #
-    @property
-    def delivery_log(self) -> List[Tuple[str, Any]]:
-        return list(self._log)
-
     @property
     def buffered_count(self) -> int:
         return len(self._buffer)

@@ -104,9 +104,6 @@ class NetworkStats:
             hist = self.per_kind[kind] = StreamingHistogram()
         hist.observe(latency)
 
-    def kind_latency(self, kind: str) -> Optional[StreamingHistogram]:
-        return self.per_kind.get(kind)
-
 
 MessageHandler = Callable[[Message], None]
 
@@ -185,16 +182,9 @@ class Network:
         """
         self._interceptors.append(interceptor)
 
-    def remove_interceptor(self, interceptor: Callable[[Message], Any]) -> None:
-        if interceptor in self._interceptors:
-            self._interceptors.remove(interceptor)
-
     def quarantine(self, node: str) -> None:
         """Drop all traffic from or to ``node`` (transport-level ACL)."""
         self._quarantined.add(node)
-
-    def unquarantine(self, node: str) -> None:
-        self._quarantined.discard(node)
 
     def is_quarantined(self, node: str) -> bool:
         return node in self._quarantined

@@ -1,9 +1,14 @@
 """Checkpoint, journal and deterministic replay.
 
-The persistence subsystem makes experiments resumable and auditable:
+The persistence subsystem makes experiments resumable and auditable.
+Resume means deterministic fast-forward plus digest verification: a
+checkpoint names its scenario spec and barrier, and resuming rebuilds the
+scenario, re-runs it to that barrier and checks the recorded digest.  The
+checkpoint's ``state`` is an offline audit record (kernel, RNG streams,
+fleet) that is never restored.
 
-* :mod:`~repro.persistence.snapshot` -- the ``Snapshottable`` protocol,
-  canonical-JSON digests and whole-system fingerprints.
+* :mod:`~repro.persistence.snapshot` -- canonical-JSON digests,
+  whole-system fingerprints and the checkpoint audit record.
 * :mod:`~repro.persistence.journal` -- the append-only JSONL event
   journal (write-ahead log) with crash-tolerant reading and WAL-style
   truncation.
@@ -57,7 +62,6 @@ from repro.persistence.scenarios import (
     scenario_names,
 )
 from repro.persistence.snapshot import (
-    Snapshottable,
     canonical_json,
     state_digest,
     system_digest,
@@ -79,7 +83,6 @@ __all__ = [
     "RunRecorder",
     "RunResult",
     "ScenarioSpec",
-    "Snapshottable",
     "UnknownScenarioError",
     "canonical_json",
     "default_paths",

@@ -2,8 +2,9 @@
 
 A checkpoint captures everything needed to resume a run: the scenario
 spec (how to rebuild the system), the barrier (simulated time + fired
-event count), the whole-system digest at the barrier (how to *verify* the
-rebuild), and the full auditable component state.  The file is JSON with
+event count) and the whole-system digest at the barrier (how to *verify*
+the rebuild).  Resume fast-forwards a fresh build to the barrier; the
+stored ``state`` is an audit record only.  The file is JSON with
 a SHA-256 integrity hash over the canonical encoding of the payload, so
 bit rot, truncation and hand-editing are all detected at load time.
 """
@@ -40,8 +41,9 @@ class Checkpoint:
         Journal digest cadence the run was recorded with (a resumed run
         must keep the cadence or its digest chain would not line up).
     state:
-        Full component snapshot (kernel, RNG streams, fleet, ...) for
-        offline audit and direct component restoration.
+        Offline audit record of the kernel, RNG streams and fleet at the
+        barrier (:func:`~repro.persistence.snapshot.system_snapshot`).
+        Resume never restores from it.
     """
 
     scenario: Dict[str, Any]

@@ -1,40 +1,23 @@
-"""The Snapshottable protocol and state digests.
+"""Canonical state digests and the checkpoint audit record.
 
-Every stateful component that participates in checkpointing implements two
-methods:
+Resume has one path: rebuild the scenario from its spec, fast-forward the
+deterministic kernel to the checkpoint barrier and verify the digest
+chain (:func:`repro.persistence.runner.fast_forward`).  Nothing is ever
+restored from serialized component state.
 
-* ``snapshot_state() -> dict`` -- a JSON-able capture of the component's
-  state, including the absolute times of its pending self-scheduled events
-  (periodic ticks, probe timeouts).
-* ``restore_state(state) -> None`` -- the inverse: rebuild the state and
-  *re-register* the pending events with the kernel.  Callbacks are never
-  serialized (closures do not survive a process boundary); each component
-  owns its own re-registration, which also naturally honors the kernel's
-  lazy cancellation -- cancelled events were excluded from the snapshot, so
-  they are simply never re-created.
-
-On top of the protocol this module provides canonical JSON hashing
-(:func:`state_digest`) and the compact whole-system digest
-(:func:`system_digest_state`) that the event journal records at a
-configurable cadence.  Digests are the ground truth of the replay
-machinery: two runs are "the same run" exactly when their digest chains
-match.
+This module provides canonical JSON hashing (:func:`state_digest`), the
+compact whole-system digest (:func:`system_digest_state`) that the event
+journal records at a configurable cadence, and the fuller
+:func:`system_snapshot` that a checkpoint file stores as an offline audit
+record.  Digests are the ground truth of the replay machinery: two runs
+are "the same run" exactly when their digest chains match.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-from typing import Any, Dict, Protocol, runtime_checkable
-
-
-@runtime_checkable
-class Snapshottable(Protocol):
-    """Structural protocol for checkpointable components."""
-
-    def snapshot_state(self) -> Dict[str, Any]: ...
-
-    def restore_state(self, state: Dict[str, Any]) -> None: ...
+from typing import Any, Dict
 
 
 def canonical_json(state: Any) -> str:
@@ -53,29 +36,6 @@ def _fallback(value: Any) -> Any:
     if isinstance(value, (set, frozenset)):
         return sorted(value)
     raise TypeError(f"not JSON-serializable for snapshot: {value!r}")
-
-
-def event_ref(event: Any) -> Any:
-    """Serializable reference to a pending kernel event (or None).
-
-    Captures ``(time, priority, seq, label)`` so a component's
-    ``restore_state`` can re-register the event with
-    :meth:`~repro.simulation.kernel.Simulator.restore_event`, preserving
-    the original intra-instant firing order.  Cancelled or fired events
-    yield None -- lazy cancellation means they must not be re-created.
-    """
-    if event is None or not event.pending:
-        return None
-    return {"t": event.time, "priority": event.priority,
-            "seq": event.seq, "label": event.label}
-
-
-def restore_event_ref(sim: Any, ref: Any, callback: Any) -> Any:
-    """Re-register an :func:`event_ref` with ``callback``; None-safe."""
-    if ref is None:
-        return None
-    return sim.restore_event(ref["t"], callback, priority=ref["priority"],
-                             seq=ref["seq"], label=ref["label"])
 
 
 def state_digest(state: Any) -> str:
@@ -129,7 +89,8 @@ def system_snapshot(system) -> Dict[str, Any]:
     Superset of :func:`system_digest_state`: adds the kernel's pending
     event metadata, complete RNG stream states and per-device detail, so a
     saved checkpoint can be inspected offline and verified field-by-field
-    against a replayed run.
+    against a replayed run.  It is an audit record only: resume never
+    restores from it.
     """
     return {
         "kernel": system.sim.snapshot_state(),

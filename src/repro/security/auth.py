@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import hashlib
 import hmac
-from typing import Any, Dict, Iterable, Optional
+from typing import Dict, Iterable, Optional
 
 #: Truncated tag length (hex chars).  Plenty against the simulated
 #: adversary, and keeps journals/snapshots compact.
@@ -92,14 +92,6 @@ class KeyChain:
     def nodes(self):
         return sorted(self._keys)
 
-    def snapshot_state(self) -> Dict[str, Any]:
-        return {"keys": dict(self._keys), "rotations": dict(self._rotations)}
-
-    def restore_state(self, state: Dict[str, Any]) -> None:
-        self._keys = dict(state["keys"])
-        self._key_bytes = {k: v.encode("utf-8") for k, v in self._keys.items()}
-        self._rotations = {k: int(v) for k, v in state["rotations"].items()}
-
 
 def _tag(key: bytes, message) -> str:
     body = repr((message.src, message.dst, message.kind, message.payload))
@@ -155,12 +147,3 @@ class MessageAuthenticator:
         else:
             self.rejected += 1
         return ok
-
-    def snapshot_state(self) -> Dict[str, Any]:
-        return {"signed": self.signed, "verified": self.verified,
-                "rejected": self.rejected}
-
-    def restore_state(self, state: Dict[str, Any]) -> None:
-        self.signed = int(state["signed"])
-        self.verified = int(state["verified"])
-        self.rejected = int(state["rejected"])

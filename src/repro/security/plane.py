@@ -147,28 +147,3 @@ class SecurityPlane:
             "dropped_quarantined": stats.dropped_quarantined,
             "dropped_intercepted": stats.dropped_intercepted,
         }
-
-    # -- persistence --------------------------------------------------------- #
-    def snapshot_state(self) -> Dict[str, Any]:
-        state = {
-            "keychain": self.keychain.snapshot_state(),
-            "trust": self.trust.snapshot_state(),
-            "adversary": self.adversary.snapshot_state(),
-            "quarantined": list(self.quarantined),
-            "key_rotations": self.key_rotations,
-        }
-        if self.authenticator is not None:
-            state["authenticator"] = self.authenticator.snapshot_state()
-        return state
-
-    def restore_state(self, state: Dict[str, Any]) -> None:
-        self.keychain.restore_state(state["keychain"])
-        self.trust.restore_state(state["trust"])
-        self.adversary.restore_state(state["adversary"])
-        self.quarantined = list(state["quarantined"])
-        self.key_rotations = int(state["key_rotations"])
-        if self.authenticator is not None and "authenticator" in state:
-            self.authenticator.restore_state(state["authenticator"])
-        network = self.system.network
-        for node in self.quarantined:
-            network.quarantine(node)

@@ -17,9 +17,9 @@ subject and pushes an ``intrusion`` fact into every attached MAPE
 knowledge base; the :class:`~repro.adaptation.analyzer.IntrusionAnalyzer`
 turns that into a ``compromised-node`` issue.
 
-Everything is deterministic: penalties are fixed constants, evidence
-arrives on the simulated event stream, and the registry snapshots its
-scores for checkpoint round-trips.
+Everything is deterministic: penalties are fixed constants and evidence
+arrives on the simulated event stream, so a resumed run rebuilds the same
+scores by fast-forwarding.
 """
 
 from __future__ import annotations
@@ -176,24 +176,6 @@ class TrustRegistry:
     def flagged(self) -> List[str]:
         return sorted(self._flagged)
 
-    # -- persistence --------------------------------------------------------- #
-    def snapshot_state(self) -> Dict[str, Any]:
-        return {
-            "scores": {obs: dict(sub) for obs, sub in
-                       sorted(self._scores.items())},
-            "flagged": sorted(self._flagged),
-            "registered": dict(self._registered),
-            "evidence_counts": dict(self.evidence_counts),
-        }
-
-    def restore_state(self, state: Dict[str, Any]) -> None:
-        self._scores = {obs: dict(sub)
-                        for obs, sub in state["scores"].items()}
-        self._flagged = set(state["flagged"])
-        self._registered = dict(state["registered"])
-        self.evidence_counts = {k: int(v) for k, v in
-                                state["evidence_counts"].items()}
-
 
 class FloodSentry:
     """Periodic per-source send-rate monitor over ``NetworkStats.per_source``.
@@ -233,13 +215,3 @@ class FloodSentry:
                                      detail=f"{rate:.0f}/s")
         self._tick_event = sim.schedule(self.period, self._tick,
                                         label="security.sentry")
-
-    def snapshot_state(self) -> Dict[str, Any]:
-        from repro.persistence.snapshot import event_ref
-        return {"last": dict(self._last), "tick": event_ref(self._tick_event)}
-
-    def restore_state(self, state: Dict[str, Any]) -> None:
-        from repro.persistence.snapshot import restore_event_ref
-        self._last = {k: int(v) for k, v in state["last"].items()}
-        self._tick_event = restore_event_ref(
-            self.system.sim, state["tick"], self._tick)

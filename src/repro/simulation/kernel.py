@@ -285,13 +285,13 @@ class Simulator:
     # ------------------------------------------------------------------ #
     @property
     def fired_count(self) -> int:
-        """Total events executed since construction (or last restore)."""
+        """Total events executed since construction."""
         return self._fired
 
     def advance_to(self, time: float) -> None:
         """Move the clock forward without firing events.
 
-        Used when restoring a checkpoint taken between events: the
+        Used when resuming from a checkpoint taken between events: the
         checkpoint's clock may sit past the last fired event but before
         the next pending one.  Rejects travel into the past or past the
         next pending event (which would reorder history).
@@ -307,46 +307,13 @@ class Simulator:
             )
         self._now = float(time)
 
-    def restore_event(
-        self,
-        time: float,
-        callback: Callable[["Simulator"], None],
-        priority: int = 0,
-        seq: Optional[int] = None,
-        label: str = "",
-    ) -> Event:
-        """Re-register an event during component restore.
-
-        Passing the event's original ``seq`` (captured in the component's
-        snapshot) preserves intra-instant firing order across a checkpoint
-        round trip -- ties on ``(time, priority)`` break by sequence, and a
-        freshly assigned sequence could reorder same-instant events
-        relative to the original run.
-        """
-        if time < self._now:
-            raise SimulationError(
-                f"cannot restore event at t={time} before current time t={self._now}"
-            )
-        if seq is None:
-            seq = self._next_seq
-            self._next_seq += 1
-        elif seq >= self._next_seq:
-            raise SimulationError(
-                f"restored seq {seq} not below next_seq {self._next_seq}"
-            )
-        event = Event(time, priority, seq, callback, label=label,
-                      created=self._now)
-        heapq.heappush(self._heap, (event.time, event.priority, event.seq, event))
-        self._pending += 1
-        return event
-
     def pending_events(self) -> List[Dict[str, Any]]:
         """Metadata of pending events, in firing order.
 
         Lazily-cancelled events are excluded: they will never fire, so a
-        checkpoint must not record them.  Callbacks are deliberately not
-        captured (closures do not serialize); on restore each component
-        re-registers its own callbacks from its restored state.
+        checkpoint's audit record must not list them.  Callbacks are not
+        captured (closures do not serialize); resume rebuilds them by
+        fast-forwarding a fresh run.
         """
         out = []
         for time, priority, seq, event in sorted(self._heap, key=lambda e: e[:3]):
@@ -363,18 +330,3 @@ class Simulator:
             "fired": self._fired,
             "pending": self.pending_events(),
         }
-
-    def restore_state(self, state: Dict[str, Any]) -> None:
-        """Restore clock and counters from :meth:`snapshot_state`.
-
-        Pending events are *not* rebuilt here -- their callbacks live in
-        the components that scheduled them, so each Snapshottable
-        component re-registers its own events during its ``restore_state``.
-        Must be called on an idle kernel before any re-registration.
-        """
-        if self._heap or self._running:
-            raise SimulationError("restore_state requires an idle, empty kernel")
-        self._now = float(state["now"])
-        self._next_seq = int(state["next_seq"])
-        self._fired = int(state["fired"])
-        self._stopped = False

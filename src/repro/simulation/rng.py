@@ -51,7 +51,7 @@ class RngRegistry:
         """Serializable per-stream ``Random.getstate()`` for every stream.
 
         The Mersenne state tuple is converted to lists so the snapshot is
-        JSON-able; :meth:`restore_state` converts back.
+        JSON-able.
         """
         return {
             "seed": self.seed,
@@ -61,24 +61,8 @@ class RngRegistry:
             },
         }
 
-    def restore_state(self, state: Dict[str, Any]) -> None:
-        """Restore every stream's draw position from :meth:`snapshot_state`.
-
-        Streams absent from the registry are created first (via the normal
-        seed derivation) so a freshly built registry restores cleanly.
-        """
-        self.seed = int(state["seed"])
-        for name, rng_state in state["streams"].items():
-            restore_rng_state(self.stream(name), rng_state)
-
 
 def serialize_rng_state(rng: random.Random) -> List[Any]:
     """``Random.getstate()`` as a JSON-able ``[version, internal, gauss]``."""
     version, internal, gauss_next = rng.getstate()
     return [version, list(internal), gauss_next]
-
-
-def restore_rng_state(rng: random.Random, state: List[Any]) -> None:
-    """Inverse of :func:`serialize_rng_state`."""
-    version, internal, gauss_next = state
-    rng.setstate((version, tuple(internal), gauss_next))

@@ -22,12 +22,6 @@ class AdmissionPolicy:
     def tighten(self, factor: float) -> None:
         """Shed load: shrink whatever this policy bounds by ``factor``."""
 
-    def snapshot_state(self) -> Dict[str, Any]:
-        return {}
-
-    def restore_state(self, state: Dict[str, Any]) -> None:
-        pass
-
 
 class QueueLengthAdmission(AdmissionPolicy):
     """Admit only while the queue is shorter than ``limit``.
@@ -55,10 +49,3 @@ class QueueLengthAdmission(AdmissionPolicy):
 
     def relax(self) -> None:
         self.limit = self._initial_limit
-
-    def snapshot_state(self) -> Dict[str, Any]:
-        return {"limit": self.limit, "initial_limit": self._initial_limit}
-
-    def restore_state(self, state: Dict[str, Any]) -> None:
-        self.limit = int(state["limit"])
-        self._initial_limit = int(state["initial_limit"])

@@ -21,7 +21,6 @@ import random
 from typing import Any, Callable, Dict, Optional
 
 from repro.network.transport import Network
-from repro.persistence.snapshot import event_ref, restore_event_ref
 from repro.simulation.kernel import Simulator
 from repro.simulation.metrics import MetricsRecorder
 from repro.simulation.trace import TraceLog
@@ -112,7 +111,7 @@ class TrafficClient:
             "timeout_event": None,
             "hedge_event": None,
             "retry_event": None,
-            # Telemetry only (excluded from snapshot_state, digest-neutral):
+            # Telemetry only (digest-neutral):
             # the request span carries the critical-path segment breakdown
             # read by repro.observability.profile, and attempt_started
             # anchors the current attempt for that decomposition.
@@ -303,77 +302,3 @@ class TrafficClient:
     def _count(self, outcome: str, weight: int) -> None:
         if self.metrics is not None:
             self.metrics.increment(f"traffic.{outcome}:{self.name}", weight)
-
-    @property
-    def open_calls(self) -> int:
-        return len(self._open)
-
-    # -- persistence --------------------------------------------------------- #
-    def snapshot_state(self) -> Dict[str, Any]:
-        calls = []
-        for req_id in sorted(self._open):
-            call = self._open[req_id]
-            calls.append({
-                "req_id": call["req_id"],
-                "weight": call["weight"],
-                "priority": call["priority"],
-                "created": call["created"],
-                "deadline_at": call["deadline_at"],
-                "attempt": call["attempt"],
-                "hedges_sent": call["hedges_sent"],
-                "timeout_event": event_ref(call["timeout_event"]),
-                "hedge_event": event_ref(call["hedge_event"]),
-                "retry_event": event_ref(call["retry_event"]),
-            })
-        return {
-            "next_id": self._next_id,
-            "target": self.target,
-            "open": calls,
-            "stats": self.stats.snapshot_state(),
-            "budget": (self.budget.snapshot_state()
-                       if self.budget is not None else None),
-            "breaker": (self.breaker.snapshot_state()
-                        if self.breaker is not None else None),
-        }
-
-    def restore_state(self, state: Dict[str, Any]) -> None:
-        self._next_id = int(state["next_id"])
-        self.target = str(state["target"])
-        self.stats.restore_state(state["stats"])
-        if state["budget"] is not None and self.budget is not None:
-            self.budget.restore_state(state["budget"])
-        if state["breaker"] is not None and self.breaker is not None:
-            self.breaker.restore_state(state["breaker"])
-        self._open = {}
-        for saved in state["open"]:
-            req_id = int(saved["req_id"])
-            call = {
-                "req_id": req_id,
-                "weight": int(saved["weight"]),
-                "priority": int(saved["priority"]),
-                "created": float(saved["created"]),
-                "deadline_at": saved["deadline_at"],
-                "attempt": int(saved["attempt"]),
-                "hedges_sent": int(saved["hedges_sent"]),
-                "timeout_event": None,
-                "hedge_event": None,
-                "retry_event": None,
-                # Telemetry-only fields restart cold: spans are digest-
-                # neutral, and a post-restore decomposition that folds the
-                # pre-crash wait into retry_s still sums to end-to-end.
-                "span": None,
-                "attempt_started": float(saved["created"]),
-            }
-            if saved["timeout_event"] is not None:
-                call["timeout_event"] = restore_event_ref(
-                    self.sim, saved["timeout_event"],
-                    lambda _s, r=req_id, a=call["attempt"]: self._on_timeout(r, a))
-            if saved["hedge_event"] is not None:
-                call["hedge_event"] = restore_event_ref(
-                    self.sim, saved["hedge_event"],
-                    lambda _s, r=req_id: self._on_hedge(r))
-            if saved["retry_event"] is not None:
-                call["retry_event"] = restore_event_ref(
-                    self.sim, saved["retry_event"],
-                    lambda _s, r=req_id: self._retry_fire(r))
-            self._open[req_id] = call

@@ -3,7 +3,7 @@
 :class:`TrafficStats` is the client-observed outcome ledger -- every
 counter is weighted by the batched-arrival weight, so a cohort entry
 standing for 50 users moves the numbers by 50.  :class:`TrafficRegistry`
-is the per-system directory of servers, clients and generators; it lives
+is the per-system directory of servers and clients; it lives
 in ``sim.context["traffic"]`` so MAPE executors and KPI reporting reach
 the traffic plane without import cycles, exactly like the fault
 injector's context registration.
@@ -11,7 +11,7 @@ injector's context registration.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Dict, List, Optional
+from typing import TYPE_CHECKING, Any, Dict, Optional
 
 from repro.observability.histogram import StreamingHistogram
 
@@ -77,17 +77,6 @@ class TrafficStats:
         }
         return out
 
-    # -- persistence ------------------------------------------------------- #
-    def snapshot_state(self) -> Dict[str, Any]:
-        state: Dict[str, Any] = {name: getattr(self, name) for name in _COUNTERS}
-        state["latency"] = self.latency.to_dict()
-        return state
-
-    def restore_state(self, state: Dict[str, Any]) -> None:
-        for name in _COUNTERS:
-            setattr(self, name, int(state[name]))
-        self.latency = StreamingHistogram.from_dict(state["latency"])
-
 
 def windowed_rate(metrics: "MetricsRecorder", name: str,
                   start: float, end: float) -> float:
@@ -117,7 +106,6 @@ class TrafficRegistry:
         self.system = system
         self.servers: Dict[str, "Server"] = {}
         self.clients: Dict[str, "TrafficClient"] = {}
-        self.generators: List[Any] = []
         system.sim.context[CONTEXT_KEY] = self
 
     # -- membership --------------------------------------------------------- #
@@ -132,10 +120,6 @@ class TrafficRegistry:
             raise ValueError(f"client {client.name!r} already registered")
         self.clients[client.name] = client
         return client
-
-    def add_generator(self, generator: Any) -> Any:
-        self.generators.append(generator)
-        return generator
 
     # -- actuation (MAPE executor hooks) ------------------------------------ #
     def shed(self, node: str, factor: float = 0.5) -> bool:
@@ -178,22 +162,3 @@ class TrafficRegistry:
             if client.breaker is not None
         }
         return out
-
-    # -- persistence ---------------------------------------------------------- #
-    def snapshot_state(self) -> Dict[str, Any]:
-        return {
-            "servers": {node: self.servers[node].snapshot_state()
-                        for node in sorted(self.servers)},
-            "clients": {name: self.clients[name].snapshot_state()
-                        for name in sorted(self.clients)},
-            "generators": [g.snapshot_state() for g in self.generators],
-        }
-
-    def restore_state(self, state: Dict[str, Any]) -> None:
-        for node, server_state in state["servers"].items():
-            self.servers[node].restore_state(server_state)
-        for name, client_state in state["clients"].items():
-            self.clients[name].restore_state(client_state)
-        for generator, generator_state in zip(self.generators,
-                                              state["generators"]):
-            generator.restore_state(generator_state)

@@ -11,10 +11,13 @@ The headline guarantees:
   mid-run) recovers through the same path with the same bytes.
 """
 
+import hashlib
 import json
 
 import pytest
 
+from repro.chaos import persistence_spec
+from repro.chaos.campaign import SpecSampler
 from repro.persistence import (
     CheckpointError,
     Checkpoint,
@@ -52,14 +55,18 @@ class TestScenarioRegistry:
 
 
 class TestResumeBitwiseIdentity:
-    @pytest.mark.parametrize("scenario,at", [
-        ("control-outage", 45.0),
-        ("mape-outage", 30.0),
-        ("traffic-overload", 14.0),
-    ])
+    @pytest.mark.parametrize("spec,at", [
+        (ScenarioSpec(name="control-outage"), 45.0),
+        (ScenarioSpec(name="mape-outage"), 30.0),
+        (ScenarioSpec(name="traffic-overload"), 14.0),
+        (ScenarioSpec(name="traffic-retry-storm"), 12.0),
+        (ScenarioSpec(name="smart-city-partition",
+                      params={"quick": True}), 30.0),
+        (persistence_spec(SpecSampler(84).sample(5)), 15.0),
+    ], ids=lambda value: value.name if isinstance(value, ScenarioSpec)
+        else None)
     def test_interrupted_resume_matches_uninterrupted(
-            self, tmp_path, scenario, at):
-        spec = ScenarioSpec(name=scenario)
+            self, tmp_path, spec, at):
         reference, ref_journal = _reference(tmp_path, spec)
 
         directory = str(tmp_path / "interrupted")
@@ -114,6 +121,28 @@ class TestResumeBitwiseIdentity:
         # Telemetry must be digest-neutral: series only, no counters.
         assert not [n for n in metrics.counter_names
                     if n.startswith("persistence")]
+
+
+class TestCheckpointBytesPinned:
+    """``checkpoint.json`` is byte-stable, audit ``state`` included.
+
+    The file holds the scenario spec, the barrier, its digest and the
+    offline audit record (kernel, RNG streams, fleet).  Pinning its
+    sha256 catches any change to that format or to the state it records.
+    Values recorded with CPython 3.11.7 and networkx 3.6.1.
+    """
+
+    @pytest.mark.parametrize("scenario,at,sha256", [
+        ("control-outage", 45.0,
+         "e4774b985e5240a3fc1e112bf832008be971ec341de891045290ebe7b9305cc3"),
+        ("traffic-overload", 14.0,
+         "f8087b57aa4d0f78c1a3bd95f6f93d0c5a286bb1fbc729dd7687018a8a8dbb86"),
+    ], ids=["control-outage-45.0", "traffic-overload-14.0"])
+    def test_checkpoint_file_sha256(self, tmp_path, scenario, at, sha256):
+        directory = str(tmp_path / "c")
+        run_to_checkpoint(ScenarioSpec(name=scenario), directory, at=at)
+        with open(default_paths(directory)["checkpoint"], "rb") as fh:
+            assert hashlib.sha256(fh.read()).hexdigest() == sha256
 
 
 class TestFastForwardVerification:

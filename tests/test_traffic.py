@@ -7,11 +7,9 @@ Covers the acceptance criteria of the serving story:
 * cohort batching keeps kernel events O(aggregate rate), not O(users);
 * servers queue, reject and shed as configured;
 * the overload and retry-storm scenarios separate naive from resilient
-  configurations by a wide, asserted margin;
-* every component snapshots/restores to identical behaviour.
+  configurations by a wide, asserted margin.
 """
 
-import json
 import random
 
 import pytest
@@ -124,15 +122,6 @@ class TestRetryBudget:
         budget.deposit(50)
         assert budget.tokens == pytest.approx(5.0)
 
-    def test_snapshot_round_trip(self):
-        budget = RetryBudget(ratio=0.2, cap=10.0, initial=3.0)
-        budget.deposit(10)
-        budget.withdraw(2)
-        clone = RetryBudget(ratio=0.2, cap=10.0, initial=3.0)
-        clone.restore_state(budget.snapshot_state())
-        assert clone.tokens == budget.tokens
-        assert clone.refused == budget.refused
-
 
 # --------------------------------------------------------------------------- #
 # Circuit breaker: the three-state transition table
@@ -190,19 +179,6 @@ class TestCircuitBreaker:
         breaker.record_success(1.8)
         assert [s for _, s in breaker.transitions] == [OPEN, HALF_OPEN, CLOSED]
 
-    def test_snapshot_round_trip_mid_half_open(self):
-        breaker = self._tripped()
-        breaker.allow(1.5)
-        breaker.record_success(1.6)
-        clone = CircuitBreaker(failure_threshold=3, recovery_time=1.0,
-                               success_threshold=2)
-        clone.restore_state(breaker.snapshot_state())
-        assert clone.state == breaker.state
-        assert clone.snapshot_state() == breaker.snapshot_state()
-        clone.allow(1.7)
-        clone.record_success(1.8)
-        assert clone.state == CLOSED
-
 
 # --------------------------------------------------------------------------- #
 # Load generation: cohort batching keeps events O(rate), not O(users)
@@ -221,10 +197,10 @@ class TestLoadGeneration:
         system, registry = _small_system(seed)
         _, client = _wire(system, registry, concurrency=64,
                           queue_capacity=4096, service_mean=0.001)
-        cohort = registry.add_generator(ClientCohort(
+        cohort = ClientCohort(
             system.sim, client, users=users, rate_per_user=rate_per_user,
             rng=system.rngs.stream("traffic:arrivals"),
-            max_event_rate=max_event_rate, stop=horizon))
+            max_event_rate=max_event_rate, stop=horizon)
         cohort.start()
         system.run(until=horizon)
         return system, client, cohort
@@ -251,9 +227,9 @@ class TestLoadGeneration:
         def offered(seed):
             system, registry = _small_system(seed)
             _, client = _wire(system, registry)
-            gen = registry.add_generator(OpenLoopGenerator(
+            gen = OpenLoopGenerator(
                 system.sim, client, rate=50.0,
-                rng=system.rngs.stream("traffic:arrivals"), stop=5.0))
+                rng=system.rngs.stream("traffic:arrivals"), stop=5.0)
             gen.start()
             system.run(until=5.0)
             return client.stats.offered, system.sim.fired_count
@@ -264,10 +240,10 @@ class TestLoadGeneration:
     def test_deterministic_process_spaces_arrivals_evenly(self):
         system, registry = _small_system()
         _, client = _wire(system, registry)
-        gen = registry.add_generator(OpenLoopGenerator(
+        gen = OpenLoopGenerator(
             system.sim, client, rate=10.0,
             rng=system.rngs.stream("traffic:arrivals"),
-            process="deterministic", stop=2.05))
+            process="deterministic", stop=2.05)
         gen.start()
         system.run(until=2.5)
         assert gen.arrivals == 20
@@ -275,9 +251,9 @@ class TestLoadGeneration:
     def test_closed_loop_workers_cycle(self):
         system, registry = _small_system()
         _, client = _wire(system, registry, concurrency=4)
-        gen = registry.add_generator(ClosedLoopGenerator(
+        gen = ClosedLoopGenerator(
             system.sim, client, workers=4, think_time=0.1,
-            rng=system.rngs.stream("traffic:think"), stop=10.0))
+            rng=system.rngs.stream("traffic:think"), stop=10.0)
         gen.start()
         system.run(until=10.0)
         assert gen.cycles > 100
@@ -292,9 +268,9 @@ class TestServer:
     def test_completions_flow_back(self):
         system, registry = _small_system()
         server, client = _wire(system, registry)
-        gen = registry.add_generator(OpenLoopGenerator(
+        gen = OpenLoopGenerator(
             system.sim, client, rate=30.0,
-            rng=system.rngs.stream("traffic:arrivals"), stop=5.0))
+            rng=system.rngs.stream("traffic:arrivals"), stop=5.0)
         gen.start()
         system.run(until=6.0)
         assert client.stats.completed > 0
@@ -366,9 +342,9 @@ class TestClientResilience:
                                retry=RetryPolicy(max_attempts=3,
                                                  base_delay=0.05,
                                                  jitter=0.0))
-        gen = registry.add_generator(OpenLoopGenerator(
+        gen = OpenLoopGenerator(
             system.sim, client, rate=4.0,
-            rng=system.rngs.stream("traffic:arrivals"), stop=8.0))
+            rng=system.rngs.stream("traffic:arrivals"), stop=8.0)
         gen.start()
         system.run(until=10.0)
         assert client.stats.timed_out > 0
@@ -476,68 +452,6 @@ class TestRetryStormScenario:
         start, end = recovery_window(45.0)
         assert start == pytest.approx(21.0)
         assert end == pytest.approx(45.0)
-
-
-# --------------------------------------------------------------------------- #
-# Snapshot/restore: mid-flight traffic round-trips
-# --------------------------------------------------------------------------- #
-class TestTrafficSnapshot:
-    @staticmethod
-    def _quiesce(system):
-        """Step past any in-flight deliveries (non-restorable closures)."""
-        for _ in range(10_000):
-            if not any(e["label"].startswith("deliver:")
-                       for e in system.sim.pending_events()):
-                return
-            system.sim.step()
-        raise AssertionError("no message-quiescent point found")
-
-    def _run_pair(self, checkpoint_at, horizon):
-        """Run one system straight and one through a snapshot round-trip."""
-        def build(start):
-            system, registry = _small_system(seed=9)
-            _wire(system, registry, concurrency=2, queue_capacity=16,
-                  service_mean=0.1, timeout=0.3,
-                  retry=RetryPolicy(max_attempts=3, base_delay=0.05,
-                                    jitter=0.5),
-                  budget=RetryBudget(),
-                  breaker=CircuitBreaker(failure_threshold=5,
-                                         recovery_time=1.0))
-            gen = registry.add_generator(OpenLoopGenerator(
-                system.sim, registry.clients["c"], rate=25.0,
-                rng=system.rngs.stream("traffic:arrivals"), stop=horizon))
-            if start:
-                gen.start()
-            return system, registry
-
-        straight_sys, straight_reg = build(start=True)
-        straight_sys.run(until=horizon)
-
-        src_sys, src_reg = build(start=True)
-        src_sys.run(until=checkpoint_at)
-        self._quiesce(src_sys)
-        state = json.loads(json.dumps(src_reg.snapshot_state()))
-        kernel = src_sys.sim.snapshot_state()
-        rngs = src_sys.rngs.snapshot_state()
-
-        # The restored system never starts its generator: the pending
-        # arrival is re-registered from the snapshot instead.
-        dst_sys, dst_reg = build(start=False)
-        dst_sys.sim.restore_state(kernel)
-        dst_sys.rngs.restore_state(rngs)
-        dst_reg.restore_state(state)
-        dst_sys.run(until=horizon)
-        return straight_reg, dst_reg
-
-    def test_mid_flight_round_trip_matches_straight_run(self):
-        straight, restored = self._run_pair(checkpoint_at=2.0, horizon=6.0)
-        assert restored.aggregate().to_dict() == straight.aggregate().to_dict()
-        assert (restored.servers["edge0"].summary()
-                == straight.servers["edge0"].summary())
-
-    def test_registry_kpis_match_after_round_trip(self):
-        straight, restored = self._run_pair(checkpoint_at=3.0, horizon=6.0)
-        assert restored.kpis(6.0) == straight.kpis(6.0)
 
 
 # --------------------------------------------------------------------------- #
